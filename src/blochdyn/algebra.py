@@ -5,6 +5,11 @@ orthonormalizing as it goes, until no new independent direction appears.
 Affine generators (A, b) embed as (n+1) x (n+1) matrices [[A, b], [0, 0]],
 whose matrix commutator reproduces the semidirect-sum bracket; complex
 generators embed as real matrices via [[X, -Y], [Y, X]].
+
+Affine embeddings have an exactly zero last row, and so do their
+commutators, so an algebra of (n+1) x (n+1) affine embeddings spans at most
+n(n+1) dimensions: N^4 - N^2 for N levels, where n = N^2 - 1. The closure
+stops as soon as it reaches this bound.
 """
 
 from dataclasses import dataclass
@@ -63,8 +68,10 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
 
     New candidates are normalized to unit Frobenius norm before the
     independence test, so rank decisions are not skewed by norm growth with
-    depth. Raises ClosureError (with the partial basis attached) when
-    max_depth rounds do not reach closure.
+    depth. When every n x n generator has an exactly zero last row (affine
+    embeddings), so does every commutator, and the closure stops as soon as
+    it spans all n(n-1) such directions. Raises ClosureError (with the
+    partial basis attached) when max_depth rounds do not reach closure.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -76,51 +83,60 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
         if g.shape != (n, n):
             raise ValueError("generators must share a common square shape")
 
-    full = n * n
-    basis = []                    # unit-norm matrices
-    q = np.empty((full, full))    # orthonormal vectorized copies, row per element
+    cap = n * (n - 1) if all(not g[-1].any() for g in mats) else n * n
+    q = np.empty((cap, n * n))    # orthonormal vectorized basis, row per element
 
-    def try_add(m):
-        nrm = np.linalg.norm(m)
-        if nrm < 1e-14:
-            return False
-        m = m / nrm
-        v = m.reshape(-1).copy()
-        k = len(basis)
+    def try_add(v, k):
         # two projection passes keep the stored rows numerically orthonormal
         for _ in range(2):
-            if k:
-                v -= q[:k].T @ (q[:k] @ v)
+            v = v - q[:k].T @ (q[:k] @ v)
         resid = np.linalg.norm(v)
         if resid <= tol:
-            return False
+            return k
         q[k] = v / resid
-        basis.append(q[k].reshape(m.shape).copy())
-        return True
+        return k + 1
 
-    for g in mats:
-        try_add(g)
-    if not basis:
+    def unit_rows(m):
+        v = m.reshape(len(m), n * n)
+        nrm = np.linalg.norm(v, axis=1)
+        keep = nrm >= 1e-14
+        return v[keep] / nrm[keep, None]
+
+    def result(k):
+        return LieBasis(elements=tuple(q[:k].reshape(k, n, n).copy()), ambient_dim=n)
+
+    k = 0
+    for v in unit_rows(np.array(mats)):
+        k = try_add(v, k)
+        if k == cap:
+            return result(k)
+    if k == 0:
         raise ValueError("all generators vanish")
 
-    frontier = list(range(len(basis)))
+    frontier = range(k)
     for _ in range(max_depth):
-        if not frontier or len(basis) == full:
-            return LieBasis(elements=tuple(basis), ambient_dim=n)
-        start = len(basis)
+        if not frontier:
+            return result(k)
+        start = k
         # commutators are antisymmetric, so unordered pairs suffice; pairs
         # of older elements were exhausted in earlier rounds
         for i in frontier:
-            bi = basis[i]
-            for j in range(i):
-                bj = basis[j]
-                try_add(bi @ bj - bj @ bi)
-        frontier = list(range(start, len(basis)))
+            bi = q[i].reshape(n, n)
+            older = q[:i].reshape(i, n, n)
+            cand = unit_rows(bi @ older - older @ bi)
+            # a candidate already within tol of the span stays there as the
+            # basis grows, so one batched projection screens out most of them
+            resid = cand - (cand @ q[:k].T) @ q[:k]
+            for v in cand[np.linalg.norm(resid, axis=1) > tol]:
+                k = try_add(v, k)
+                if k == cap:
+                    return result(k)
+        frontier = range(start, k)
     if not frontier:
-        return LieBasis(elements=tuple(basis), ambient_dim=n)
+        return result(k)
     raise ClosureError(
-        "closure not reached within depth %d (dim %d so far)" % (max_depth, len(basis)),
-        partial=LieBasis(elements=tuple(basis), ambient_dim=n),
+        "closure not reached within depth %d (dim %d so far)" % (max_depth, k),
+        partial=result(k),
     )
 
 

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 
 from .bloch import AffineGenerator, to_affine
 from .errors import NonUniqueEquilibriumError, SemigroupDomainError, UnphysicalStateError
-from .liouville import total_generator, vectorize
+from .liouville import commutator_superop, total_generator, vectorize
 from .states import CoherenceVector, check_density, gell_mann_basis
 
 # per-sample state validity allowance along trajectories
@@ -30,7 +30,7 @@ SPECTRUM_TOL = 1e-12
 
 
 def expm(m, t=1.0):
-    """exp(m t) by scaling and squaring with a diagonal Pade approximant."""
+    """exp(m t) via scipy.linalg.expm, after finiteness and shape checks."""
     m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix exponential of non-finite input")
@@ -302,15 +302,29 @@ def steady_state(sys, spec, f):
     the null-space dimension.
     """
     aff = to_affine(total_generator(sys, spec, f))
-    s = np.linalg.svd(aff.a, compute_uv=False)
-    null_dim = int(np.sum(s <= 1e-12 * s[0])) if s[0] > 0 else s.size
-    if null_dim > 0:
+    v, singular = _fixed_points(aff.a[None], aff.b[None])
+    if singular is not None:
+        null_dim = singular[1]
         raise NonUniqueEquilibriumError(
             "non-unique equilibrium: A has null space dimension %d" % null_dim,
             null_dim=null_dim,
         )
-    v = np.linalg.solve(aff.a, -aff.b)
-    return CoherenceVector(bloch=v, trace_part=1.0)
+    return CoherenceVector(bloch=v[0], trace_part=1.0)
+
+
+def _fixed_points(a, b):
+    """Solve A_k v_k = -b_k for a stack of affine parts, A of shape (K, n, n).
+
+    Singular values at or below 1e-12 times the largest count as zero.
+    Returns (v, None), or (None, (k, null_dim)) for the first singular A_k.
+    """
+    s = np.linalg.svd(a, compute_uv=False)
+    null_dims = np.sum(s <= 1e-12 * s[:, :1], axis=1)
+    singular = np.flatnonzero(null_dims)
+    if singular.size:
+        k = int(singular[0])
+        return None, (k, int(null_dims[k]))
+    return np.linalg.solve(a, -b[..., None])[..., 0], None
 
 
 @dataclass(frozen=True)
@@ -321,8 +335,10 @@ class SweepReport:
     plane through the points: plane_basis spans it, plane_residual is the
     worst out-of-plane distance, conic_coeffs = (c1..c6) describe
     c1 u^2 + c2 uv + c3 v^2 + c4 u + c5 v + c6 = 0 in plane coordinates with
-    norm(c) = 1, and the discriminant c2^2 - 4 c1 c3 classifies the curve.
-    Collinear or coincident points are reported as degenerate, not raised.
+    norm(c) = 1, and the discriminant c2^2 - 4 c1 c3 classifies the curve:
+    kind is "ellipse" (negative), "hyperbola" (positive) or "parabola"
+    (zero). Collinear or coincident points are reported with kind
+    "degenerate", not raised.
     """
 
     amplitudes: np.ndarray
@@ -346,19 +362,27 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     """Attractor locus for one control swept over constant amplitudes.
 
     The remaining controls are held at zero. Needs at least 6 samples to
-    pin down a conic.
+    pin down a conic. (A, b) is linear in the amplitude, so it is assembled
+    once and every point is solved in one batch. Raises
+    NonUniqueEquilibriumError naming the first amplitude whose A is singular.
     """
     amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
     if amplitudes.size < 6:
         raise ValueError("need at least 6 amplitudes for a conic fit")
     if not 0 <= control_index < sys.n_controls:
         raise ValueError("control index %d out of range" % control_index)
-    points = []
-    for amp in amplitudes:
-        f = np.zeros(sys.n_controls)
-        f[control_index] = amp
-        points.append(steady_state(sys, spec, f).bloch)
-    points = np.array(points)
+    drift = to_affine(total_generator(sys, spec, np.zeros(sys.n_controls)))
+    control = to_affine(commutator_superop(sys.controls[control_index], sys.hbar))
+    a = drift.a + amplitudes[:, None, None] * control.a
+    b = drift.b + amplitudes[:, None] * control.b
+    points, singular = _fixed_points(a, b)
+    if singular is not None:
+        k, null_dim = singular
+        raise NonUniqueEquilibriumError(
+            "non-unique equilibrium at amplitude %.17g: A has null space dimension %d"
+            % (amplitudes[k], null_dim),
+            null_dim=null_dim,
+        )
     dim = sys.dim
     # pure states sit at this coherence-vector norm; for two levels it is
     # the unit Bloch sphere
@@ -390,7 +414,7 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     design = np.column_stack(
         [uv[:, 0] ** 2, uv[:, 0] * uv[:, 1], uv[:, 1] ** 2, uv[:, 0], uv[:, 1], np.ones(len(uv))]
     )
-    _, _, vt6 = np.linalg.svd(design)
+    _, _, vt6 = np.linalg.svd(design, full_matrices=False)
     coeffs = vt6[-1]
     lead = np.argmax(np.abs(coeffs))
     if coeffs[lead] < 0:

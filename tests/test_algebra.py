@@ -1,5 +1,7 @@
 """Commutator-closure tests: embeddings, known dimensions, invariances."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -125,12 +127,18 @@ def test_closure_invariant_under_generator_recombination():
 
 
 def test_closure_depth_limit_raises_with_partial():
+    # the ladder closes in three rounds; fewer leave a partial basis that
+    # is orthonormal and still closes to the full algebra
     sys, spec = make_ladder()
-    with pytest.raises(ClosureError) as err:
-        lie_closure(affine_generator_set(sys, spec), max_depth=1)
-    partial = err.value.partial
-    assert partial is not None
-    assert 3 <= partial.dim < 72
+    for depth in (1, 2):
+        with pytest.raises(ClosureError) as err:
+            lie_closure(affine_generator_set(sys, spec), max_depth=depth)
+        partial = err.value.partial
+        assert partial is not None
+        assert 3 <= partial.dim < 72
+        vecs = np.array([m.reshape(-1) for m in partial.elements])
+        assert np.max(np.abs(vecs @ vecs.T - np.eye(partial.dim))) < 1e-9
+        assert lie_closure(list(partial.elements)).dim == 72
 
 
 def test_closure_input_validation():
@@ -186,3 +194,34 @@ def test_decompose_requires_affine_embedding():
     basis = lie_closure([np.array([[0.0, -1.0], [1.0, 0.0]])])
     with pytest.raises(ValueError, match="affine"):
         decompose_inhomogeneous(basis)
+
+
+def make_ladder5():
+    n = 5
+    energies = np.array([0.0, 1.0, 2.3, 3.45, 4.8])
+    controls = []
+    for j, moment in enumerate([1.0, 0.8, 0.9, 0.7]):
+        c = np.zeros((n, n), dtype=complex)
+        c[j, j + 1] = c[j + 1, j] = moment
+        controls.append(c)
+    sys = ControlSystem(h0=np.diag(energies), controls=tuple(controls))
+    relax = np.zeros((n, n))
+    for j in range(n - 1):
+        relax[j, j + 1] = 0.1 + 0.05 * j
+        relax[j + 1, j] = 0.02
+    leaving = relax.sum(axis=0)
+    deph = 0.5 * (leaving[:, None] + leaving[None, :]) + 0.1
+    np.fill_diagonal(deph, 0.0)
+    return sys, DissipationSpec(dephasing=deph, relaxation=relax)
+
+
+def test_five_level_ladder_affine_closure_is_full_and_fast():
+    # an affine embedding of an N-level flow spans at most N^4 - N^2
+    # directions; the closure stops as soon as it gets there
+    sys, spec = make_ladder5()
+    start = time.perf_counter()
+    basis = lie_closure(affine_generator_set(sys, spec))
+    elapsed = time.perf_counter() - start
+    assert basis.dim == 600
+    assert decompose_inhomogeneous(basis) == (576, 24)
+    assert elapsed < 10.0

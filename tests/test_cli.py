@@ -237,6 +237,20 @@ def test_sweep_flags_override_config(tmp_path, capsys):
     assert len(rows) - 1 == 7
 
 
+def test_sweep_zero_dissipation_is_physics_error(tmp_path, capsys):
+    doc = make_doc(sweep={"control": 0, "amplitudes": [-2, -1, 0, 1, 2, 3]})
+    doc["dissipation"] = {
+        "dephasing": [[0.0, 0.0], [0.0, 0.0]],
+        "relaxation": [[0.0, 0.0], [0.0, 0.0]],
+    }
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "physics error" in err
+    assert "non-unique equilibrium at amplitude -2" in err
+
+
 def test_sweep_requires_amplitudes_somewhere(tmp_path, capsys):
     cfg_path = write_config(tmp_path, make_doc())
     out = tmp_path / "s.csv"

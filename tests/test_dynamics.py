@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from blochdyn.bloch import ball_containment, to_affine
+from blochdyn.config import load_template
 from blochdyn.dynamics import (
     Trajectory,
     default_sample_dt,
@@ -337,6 +338,27 @@ def test_sweep_degenerate_when_translations_vanish():
     report = steady_state_sweep(sys, spec, 0, [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5])
     assert report.kind == "degenerate"
     assert np.max(np.abs(report.points)) < 1e-12
+
+
+def test_sweep_points_match_per_point_steady_state():
+    cfg = load_template("three_level_ladder")
+    sys, spec = cfg.system, cfg.dissipation
+    amps = np.linspace(-1.5, 2.0, 15)
+    for control in range(sys.n_controls):
+        report = steady_state_sweep(sys, spec, control, amps)
+        for amp, point in zip(amps, report.points):
+            f = np.zeros(sys.n_controls)
+            f[control] = amp
+            expected = steady_state(sys, spec, f).bloch
+            assert np.max(np.abs(point - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+def test_sweep_singular_point_raises_with_amplitude():
+    sys, _ = make_qubit()
+    amps = [0.25, -1.0, -0.5, 0.0, 0.5, 1.0]
+    with pytest.raises(NonUniqueEquilibriumError, match="amplitude 0.25:") as err:
+        steady_state_sweep(sys, DissipationSpec.zero(2), 0, amps)
+    assert err.value.null_dim >= 1
 
 
 def test_sweep_validation():
