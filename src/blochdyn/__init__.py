@@ -26,7 +26,6 @@ from .dynamics import (
     semigroup_spectrum,
     steady_state,
     steady_state_sweep,
-    unitary_propagate,
 )
 from .errors import (
     BlochdynError,
@@ -52,7 +51,6 @@ from .model import (
     ControlSystem,
     DissipationSpec,
     dipole_coupling,
-    field_at,
     qubit_system,
     transition_frequency,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "devectorize",
     "dipole_coupling",
     "expm",
-    "field_at",
     "from_coherence_vector",
     "from_pure",
     "gell_mann_basis",
@@ -116,6 +113,5 @@ __all__ = [
     "total_generator",
     "trace_residual",
     "transition_frequency",
-    "unitary_propagate",
     "vectorize",
 ]

@@ -19,9 +19,8 @@ import numpy as np
 from .bloch import AffineGenerator, to_affine
 from .errors import ClosureError
 from .liouville import build_dissipator, commutator_superop
+from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM
 
-# relative singular-value threshold for rank decisions
-CLOSURE_TOL = 1e-10
 MAX_DEPTH = 8
 
 
@@ -99,7 +98,7 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
     def unit_rows(m):
         v = m.reshape(len(m), n * n)
         nrm = np.linalg.norm(v, axis=1)
-        keep = nrm >= 1e-14
+        keep = nrm >= CLOSURE_ZERO_NORM
         return v[keep] / nrm[keep, None]
 
     def result(k):

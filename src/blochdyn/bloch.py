@@ -13,8 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .liouville import build_dissipator, trace_residual, TRACE_TOL
+from .liouville import build_dissipator, trace_residual
 from .states import gell_mann_basis
+from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,6 @@ class AffineGenerator:
             raise ValueError("A must be square with matching b")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    @property
-    def dim_real(self):
-        return self.b.size
 
     def apply(self, v):
         return self.a @ np.asarray(v, dtype=float) + self.b
@@ -62,7 +59,8 @@ def to_affine(superop):
     dim = int(round(np.sqrt(superop.shape[0])))
     if dim * dim != superop.shape[0]:
         raise ValueError("superoperator size must be a perfect square")
-    if trace_residual(superop) > TRACE_TOL * max(1.0, float(np.max(np.abs(superop)))):
+    if exceeds_scaled(trace_residual(superop), float(np.max(np.abs(superop))),
+                      GENERATOR_TRACE_TOL):
         raise ValueError("population not conserved: trace functional is not a left null vector")
     r, e, mixed = _extraction_maps(dim)
     a = np.real(r @ superop @ e)
@@ -90,7 +88,7 @@ class ContainmentReport:
     n_samples: int
 
 
-def ball_containment(traj, tol=1e-7):
+def ball_containment(traj, tol=PROPAGATION_TOL):
     """Check that every sample stays inside the ball of radius trace_part.
 
     For two levels this is the Bloch-ball condition |v| <= 1; for more
@@ -102,8 +100,7 @@ def ball_containment(traj, tol=1e-7):
         radius = traj.trace_part
         excess = np.linalg.norm(traj.bloch, axis=1) - radius
     else:
-        mineigs = np.array([np.linalg.eigvalsh(r)[0] for r in traj.rho])
-        excess = -mineigs
+        excess = -np.linalg.eigvalsh(traj.rho)[:, 0]
     worst = int(np.argmax(excess))
     violations = int(np.sum(excess > tol))
     return ContainmentReport(

@@ -17,15 +17,10 @@ import numpy as np
 
 from .algebra import affine_generator_set, decompose_inhomogeneous, hamiltonian_algebra, lie_closure
 from .config import load_config, template_names, template_text
-from .dynamics import (
-    PROPAGATION_TOL,
-    propagate,
-    semigroup_spectrum,
-    steady_state,
-    steady_state_sweep,
-)
+from .dynamics import propagate, semigroup_spectrum, steady_state, steady_state_sweep
 from .errors import ConfigError, NonUniqueEquilibriumError, PhysicsError
 from .liouville import build_dissipator, commutator_superop, support_overlap, total_generator
+from .tolerances import PROPAGATION_TOL
 
 
 def _fmt(x):
@@ -204,14 +199,18 @@ def cmd_template(name, out=None):
     return 0
 
 
-def _default_tol():
-    raw = os.environ.get("BLOCHDYN_TOL")
-    if raw is None:
-        return PROPAGATION_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError("BLOCHDYN_TOL is not a number: %r" % raw)
+def _simulate_tol(flag):
+    """--tol, else BLOCHDYN_TOL, else PROPAGATION_TOL; positive and finite."""
+    tol = flag
+    if tol is None:
+        raw = os.environ.get("BLOCHDYN_TOL")
+        try:
+            tol = PROPAGATION_TOL if raw is None else float(raw)
+        except ValueError:
+            raise ConfigError("BLOCHDYN_TOL is not a number: %r" % raw)
+    if not 0.0 < tol < float("inf"):
+        raise ConfigError("tolerance must be positive and finite, got %g" % tol)
+    return tol
 
 
 def build_parser():
@@ -231,7 +230,6 @@ def build_parser():
     ana = sub.add_parser("analyze", help="structural report: overlap, algebras, spectrum")
     ana.add_argument("--config", required=True)
     ana.add_argument("--out", default=None, help="also write the report as JSON")
-    ana.add_argument("--tol", type=float, default=None)
 
     swp = sub.add_parser("sweep", help="steady states over a constant-control sweep")
     swp.add_argument("--config", required=True)
@@ -239,7 +237,6 @@ def build_parser():
     swp.add_argument("--control", type=int, default=None)
     swp.add_argument("--amplitudes", default=None,
                      help="comma-separated override of the config sweep list")
-    swp.add_argument("--tol", type=float, default=None)
 
     tpl = sub.add_parser("template", help="emit a shipped configuration")
     tpl.add_argument("name", choices=template_names())
@@ -253,10 +250,11 @@ def main(argv=None):
     try:
         if args.command == "template":
             return cmd_template(args.name, out=args.out)
-        tol = args.tol if args.tol is not None else _default_tol()
-        cfg = load_config(args.config)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, sample_dt=args.sample_dt, tol=tol)
+            tol = _simulate_tol(args.tol)
+            return cmd_simulate(load_config(args.config), args.out,
+                                sample_dt=args.sample_dt, tol=tol)
+        cfg = load_config(args.config)
         if args.command == "analyze":
             return cmd_analyze(cfg, out=args.out)
         amplitudes = None

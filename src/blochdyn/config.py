@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import ControlField, ControlSystem, DissipationSpec, dipole_coupling
 from .states import CoherenceVector, check_density, from_coherence_vector, from_pure
+from .tolerances import overruns
 
 DEFAULT_OUTPUTS = ("bloch", "purity")
 
@@ -38,37 +39,6 @@ class RunConfig:
     outputs: tuple
     sweep_control: object
     sweep_amplitudes: object
-    raw: dict
-
-    def equivalent(self, other):
-        """Field-by-field equality, arrays compared exactly."""
-        same = (
-            np.array_equal(self.system.h0, other.system.h0)
-            and len(self.system.controls) == len(other.system.controls)
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.system.controls, other.system.controls)
-            )
-            and self.system.hbar == other.system.hbar
-            and np.array_equal(self.dissipation.dephasing, other.dissipation.dephasing)
-            and np.array_equal(self.dissipation.relaxation, other.dissipation.relaxation)
-            and self.field.kind == other.field.kind
-            and len(self.field.segments) == len(other.field.segments)
-            and all(
-                da == db and np.array_equal(va, vb)
-                for (da, va), (db, vb) in zip(self.field.segments, other.field.segments)
-            )
-            and np.array_equal(self.rho0, other.rho0)
-            and self.duration == other.duration
-            and self.sample_dt == other.sample_dt
-            and self.outputs == other.outputs
-            and self.sweep_control == other.sweep_control
-        )
-        if not same:
-            return False
-        if self.sweep_amplitudes is None or other.sweep_amplitudes is None:
-            return self.sweep_amplitudes is None and other.sweep_amplitudes is None
-        return np.array_equal(self.sweep_amplitudes, other.sweep_amplitudes)
 
 
 def _complex(pair):
@@ -159,7 +129,7 @@ def parse_config(doc):
 
     rundoc = doc.get("run", {})
     duration = rundoc.get("duration", field.total_duration)
-    if duration > field.total_duration * (1 + 1e-12) + 1e-15:
+    if overruns(duration, field.total_duration):
         raise ConfigError(
             "run.duration %g exceeds the field program length %g"
             % (duration, field.total_duration)
@@ -189,7 +159,6 @@ def parse_config(doc):
         outputs=outputs,
         sweep_control=sweep_control,
         sweep_amplitudes=sweep_amplitudes,
-        raw=doc,
     )
 
 

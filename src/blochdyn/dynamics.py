@@ -3,7 +3,7 @@
 Piecewise-constant fields are propagated exactly: each segment contributes
 exp(L dt) factors built once and reused across the sample grid. Sampled
 fields go through a classical fixed-step fourth-order integrator instead.
-Both routes enforce forward time and state validity along the way.
+Both routes enforce forward time, and all samples pass one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -17,16 +17,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from .bloch import AffineGenerator, to_affine
-from .errors import NonUniqueEquilibriumError, SemigroupDomainError, UnphysicalStateError
+from .errors import NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import commutator_superop, total_generator, vectorize
 from .states import CoherenceVector, check_density, gell_mann_basis
-
-# per-sample state validity allowance along trajectories
-PROPAGATION_TOL = 1e-7
-# trace conservation is much tighter than positivity drift
-TRACE_CONSERVATION_TOL = 1e-9
-# spectral flags: real parts above this count as growing modes
-SPECTRUM_TOL = 1e-12
+from .tolerances import (DEGENERATE_CONIC_TOL, GRID_REMAINDER_FRACTION, GRID_STEP_SLACK,
+                         PROPAGATION_TOL, SINGULAR_RATIO, SPECTRUM_TOL, overruns)
 
 
 def expm(m, t=1.0):
@@ -63,32 +58,6 @@ class Trajectory:
         return CoherenceVector(bloch=self.bloch[-1], trace_part=float(self.trace_part[-1]))
 
 
-def _assemble_trajectory(times, rhos):
-    rhos = np.array(rhos)
-    dim = rhos.shape[1]
-    basis = np.array(gell_mann_basis(dim))
-    bloch = np.einsum("aij,nji->na", basis, rhos).real
-    trace = np.einsum("nii->n", rhos).real
-    return Trajectory(
-        times=np.array(times, dtype=float),
-        rho=rhos,
-        bloch=bloch,
-        trace_part=trace,
-    )
-
-
-def _check_sample(rho, t, validity_tol, trace_tol):
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    tr_off = float(abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag))
-    mineig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if herm > validity_tol or mineig < -validity_tol or tr_off > trace_tol:
-        raise UnphysicalStateError(
-            "state left the physical set at t=%.6g: hermiticity %.3g, "
-            "trace offset %.3g, min eigenvalue %.3g" % (t, herm, tr_off, mineig),
-            worst={"t": t, "hermiticity": herm, "trace": tr_off, "min_eigenvalue": mineig},
-        )
-
-
 def _effective_segments(field, duration):
     """Clip the segment list to the requested duration."""
     if duration is None:
@@ -98,7 +67,7 @@ def _effective_segments(field, duration):
             "semigroup domain: evolution is defined for t >= 0 only"
         )
     total = field.total_duration
-    if duration > total * (1 + 1e-12) + 1e-15:
+    if overruns(duration, total):
         raise ValueError(
             "field covers [0, %g] but duration %g was requested" % (total, duration)
         )
@@ -122,83 +91,20 @@ def default_sample_dt(generators, total_duration, target=0.1):
     return min(total_duration, target / worst)
 
 
-def _sample_constant(apply_step, t0, duration, dt, times, push):
-    """Walk one segment on a uniform grid, reusing the step operator.
-
-    apply_step(h) returns a function advancing the state by h; push stores
-    a sample. The remainder shorter than dt is folded into the final sample
-    at the exact segment end.
-    """
-    m = int(np.floor(duration / dt + 1e-12))
-    r = duration - m * dt
-    if r <= 1e-9 * dt:
-        r = 0.0
-    if m > 0:
-        step = apply_step(dt)
-        for k in range(1, m + 1):
-            step()
-            if r == 0.0 and k == m:
-                times.append(t0 + duration)
-            else:
-                times.append(t0 + k * dt)
-            push()
-    if r > 0.0:
-        step = apply_step(r)
-        step()
-        times.append(t0 + duration)
-        push()
-
-
-def unitary_propagate(sys, field, rho0, sample_dt=None, duration=None):
-    """Dissipation-free evolution by ordered products of segment unitaries.
-
-    Each segment contributes exp(-i H(f) dt / hbar); the state is conjugated
-    by the accumulated product. Purity is conserved along the way.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    check_density(rho0)
-    segs = _effective_segments(field, duration)
-    hams = [sys.hamiltonian(values) for _, values in segs]
-    if sample_dt is None:
-        total = sum(d for d, _ in segs)
-        sample_dt = default_sample_dt(
-            [h / sys.hbar for h in hams], total if total > 0 else 1.0
-        )
-    if sample_dt <= 0:
-        raise ValueError("sample_dt must be positive")
-
-    rho = rho0.copy()
-    times = [0.0]
-    rhos = [rho.copy()]
-    t0 = 0.0
-    for (dur, _), h in zip(segs, hams):
-        state = {"rho": rho}
-
-        def apply_step(dt, h=h, state=state):
-            u = expm(-1j * h / sys.hbar, dt)
-            def advance():
-                state["rho"] = u @ state["rho"] @ u.conj().T
-            return advance
-
-        def push(state=state):
-            _check_sample(state["rho"], times[-1], PROPAGATION_TOL, TRACE_CONSERVATION_TOL)
-            rhos.append(state["rho"].copy())
-
-        _sample_constant(apply_step, t0, dur, sample_dt, times, push)
-        rho = state["rho"]
-        t0 += dur
-    return _assemble_trajectory(times, rhos)
-
-
 def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
               validity_tol=PROPAGATION_TOL):
     """Evolve a state under the dissipative semigroup exp(Lt).
 
     Piecewise fields are exponentiated exactly per segment and subsampled at
     sample_dt; sampled fields use fixed fourth-order steps no larger than
-    sample_dt. Every sample is checked for validity; the trace must hold to
-    1e-9 and Hermiticity/positivity to validity_tol.
+    sample_dt. Zero dissipation gives unitary evolution. Every sample is
+    checked for validity; the trace must hold to 1e-9 and
+    Hermiticity/positivity to validity_tol, which must be positive and finite.
+    The samples are checked together once computed; an error names the
+    first failing one.
     """
+    if not 0.0 < validity_tol < np.inf:
+        raise ValueError("validity_tol must be positive and finite")
     rho0 = np.asarray(rho0, dtype=complex)
     check_density(rho0)
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
@@ -213,36 +119,46 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
 
     v = vectorize(rho0)
     times = [0.0]
-    rhos = [rho0.copy()]
-    state = {"v": v}
-    dim = sys.dim
-
-    def push():
-        rho = state["v"].reshape(dim, dim)
-        _check_sample(rho, times[-1], validity_tol, TRACE_CONSERVATION_TOL)
-        rhos.append(rho.copy())
-
+    vs = [v]
     t0 = 0.0
     for (dur, _), gen in zip(segs, gens):
         if field.kind == "piecewise":
-            def apply_step(dt, gen=gen):
-                p = expm(gen, dt)
-                def advance():
-                    state["v"] = p @ state["v"]
-                return advance
-
-            _sample_constant(apply_step, t0, dur, sample_dt, times, push)
+            # uniform grid reusing one step operator; a remainder shorter
+            # than dt is folded into a final sample at the exact segment end
+            m = int(np.floor(dur / sample_dt + GRID_STEP_SLACK))
+            r = dur - m * sample_dt
+            if r <= GRID_REMAINDER_FRACTION * sample_dt:
+                r = 0.0
+            if m > 0:
+                p = expm(gen, sample_dt)
+                for k in range(1, m + 1):
+                    v = p @ v
+                    vs.append(v)
+                    times.append(t0 + dur if r == 0.0 and k == m else t0 + k * sample_dt)
+            if r > 0.0:
+                v = expm(gen, r) @ v
+                vs.append(v)
+                times.append(t0 + dur)
         else:
             # held samples: integrate with the generator frozen per segment,
             # steps chosen to land exactly on the segment end
-            n = max(1, int(np.ceil(dur / sample_dt - 1e-12)))
+            n = max(1, int(np.ceil(dur / sample_dt - GRID_STEP_SLACK)))
             h = dur / n
             for k in range(1, n + 1):
-                state["v"] = _rk4_step(gen, state["v"], h)
+                v = _rk4_step(gen, v, h)
+                vs.append(v)
                 times.append(t0 + dur if k == n else t0 + k * h)
-                push()
         t0 += dur
-    return _assemble_trajectory(times, rhos)
+    rhos = np.array(vs).reshape(-1, sys.dim, sys.dim)
+    if len(times) > 1:
+        check_density(rhos[1:], validity_tol, times=times[1:])
+    basis = np.array(gell_mann_basis(sys.dim))
+    return Trajectory(
+        times=np.array(times, dtype=float),
+        rho=rhos,
+        bloch=np.einsum("aij,nji->na", basis, rhos).real,
+        trace_part=np.einsum("nii->n", rhos).real,
+    )
 
 
 def _rk4_step(gen, v, h):
@@ -315,11 +231,11 @@ def steady_state(sys, spec, f):
 def _fixed_points(a, b):
     """Solve A_k v_k = -b_k for a stack of affine parts, A of shape (K, n, n).
 
-    Singular values at or below 1e-12 times the largest count as zero.
+    Singular values at or below SINGULAR_RATIO times the largest count as zero.
     Returns (v, None), or (None, (k, null_dim)) for the first singular A_k.
     """
     s = np.linalg.svd(a, compute_uv=False)
-    null_dims = np.sum(s <= 1e-12 * s[:, :1], axis=1)
+    null_dims = np.sum(s <= SINGULAR_RATIO * s[:, :1], axis=1)
     singular = np.flatnonzero(null_dims)
     if singular.size:
         k = int(singular[0])
@@ -392,7 +308,7 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     center = points.mean(axis=0)
     rel = points - center
     _, s, vt = np.linalg.svd(rel, full_matrices=False)
-    degenerate = s.size < 2 or s[1] <= max(1e-12, 1e-12 * s[0])
+    degenerate = s.size < 2 or s[1] <= DEGENERATE_CONIC_TOL * max(1.0, s[0])
     if degenerate:
         return SweepReport(
             amplitudes=amplitudes,

@@ -10,10 +10,7 @@ dissipator supports.
 
 import numpy as np
 
-from .model import transition_frequency
-
-# left null vector residual allowed for trace preservation
-TRACE_TOL = 1e-12
+from .model import _check_hermitian, transition_frequency
 
 
 def vectorize(rho):
@@ -35,9 +32,7 @@ def devectorize(v):
 
 def commutator_superop(h, hbar=1.0):
     """Matrix of rho -> (1/i hbar)(H rho - rho H) on row-stacked vectors."""
-    h = np.asarray(h, dtype=complex)
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
-        raise ValueError("H must be Hermitian")
+    h = _check_hermitian(h, "H")
     dim = h.shape[0]
     eye = np.eye(dim)
     return (np.kron(h, eye) - np.kron(eye, h.T)) / (1j * hbar)

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
+from .tolerances import exceeds_scaled
 
 
 def _check_hermitian(m, name):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("%s must be a square matrix" % name)
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(m))):
+    if exceeds_scaled(np.max(np.abs(m - m.conj().T)), np.max(np.abs(m))):
         raise ValueError("%s must be Hermitian" % name)
     return m
 
@@ -72,7 +72,8 @@ class DissipationSpec:
 
     dephasing[k, n] = dephasing[n, k] >= 0 damps the (k, n) coherence;
     relaxation[k, n] >= 0 is the rate of n -> k population transfer.
-    Diagonals are zero by definition.
+    Diagonals are zero by definition. Dephasing asymmetry within the
+    scale-aware Hermiticity rule is rounding and is averaged away.
     """
 
     dephasing: np.ndarray
@@ -85,8 +86,9 @@ class DissipationSpec:
             raise ValueError("rate matrices must be square and same shape")
         if np.any(g < 0) or np.any(r < 0):
             raise ValueError("rates must be nonnegative")
-        if np.max(np.abs(g - g.T)) > 0:
+        if exceeds_scaled(np.max(np.abs(g - g.T)), np.max(np.abs(g))):
             raise ValueError("dephasing matrix must be symmetric")
+        g = 0.5 * (g + g.T)
         if np.any(np.diag(g) != 0) or np.any(np.diag(r) != 0):
             raise ValueError("rate matrices must have zero diagonal")
         object.__setattr__(self, "dephasing", g)
@@ -97,8 +99,9 @@ class DissipationSpec:
         return self.dephasing.shape[0]
 
     def is_quasi_spin(self):
-        """True when relaxation rates are symmetric under level exchange."""
-        return bool(np.max(np.abs(self.relaxation - self.relaxation.T)) == 0)
+        """True when relaxation rates are symmetric, up to rounding, under level exchange."""
+        r = self.relaxation
+        return not exceeds_scaled(np.max(np.abs(r - r.T)), np.max(np.abs(r)))
 
     @classmethod
     def zero(cls, dim):
@@ -193,20 +196,3 @@ def transition_frequency(sys, k, n):
     if k == n:
         raise ValueError("transition needs two distinct levels")
     return float(np.real(h0[n, n] - h0[k, k]) / sys.hbar)
-
-
-def field_at(field, t):
-    """Field amplitudes at time t; segments are left-closed.
-
-    At a shared boundary the later segment wins (right-continuous fields),
-    matching the ordering of the product-of-exponentials propagator.
-    """
-    if t < 0 or t > field.total_duration:
-        raise ValueError("t outside the field's support [0, %g]" % field.total_duration)
-    elapsed = 0.0
-    for dur, values in field.segments:
-        if t < elapsed + dur:
-            return values.copy()
-        elapsed += dur
-    # t equals the total duration: final segment still applies
-    return field.segments[-1][1].copy()

@@ -16,10 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import UnphysicalStateError
-
-# Hermiticity / trace / positivity tolerance. Double precision accumulates
-# error over thousands of propagation steps; 1e-9 leaves headroom.
-VALIDITY_TOL = 1e-9
+from .tolerances import STATE_TRACE_TOL, VALIDITY_TOL
 
 
 @dataclass(frozen=True)
@@ -78,29 +75,47 @@ def gell_mann_basis(dim):
     return tuple(mats)
 
 
-def check_density(rho, tol=VALIDITY_TOL):
-    """Validate Hermiticity, unit trace and positivity of a density matrix.
+def check_density(rho, tol=VALIDITY_TOL, times=None):
+    """Validate Hermiticity, unit trace and positivity of density matrices.
 
-    Returns the worst offense as a dict; raises UnphysicalStateError if any
-    check exceeds tol.
+    rho is one N x N matrix or a stack of them, checked with one batched
+    eigvalsh. tol bounds Hermiticity and positivity; the trace offset
+    |Re tr - 1| + |Im tr| always holds to STATE_TRACE_TOL. Returns the worst
+    margins over the stack; raises UnphysicalStateError for the first
+    failing matrix. times, when given, labels the stack: the error then
+    names that matrix's time and carries it as worst["t"].
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = float(abs(np.trace(rho) - 1.0))
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    adj = stack.conj().swapaxes(1, 2)
+    herm = np.max(np.abs(stack - adj), axis=(1, 2))
+    tr = np.trace(stack, axis1=1, axis2=2)
+    trace = np.abs(tr.real - 1.0) + np.abs(tr.imag)
     # eigvalsh assumes Hermiticity; symmetrize first so the PSD number is
     # meaningful even when the Hermiticity check is about to fail
-    sym = 0.5 * (rho + rho.conj().T)
-    mineig = float(np.linalg.eigvalsh(sym)[0])
-    worst = {"hermiticity": herm, "trace": trace, "min_eigenvalue": mineig}
-    if herm > tol or trace > tol or mineig < -tol:
+    sym = 0.5 * (stack + adj)
+    # LAPACK may fail on non-finite input; such matrices get NaN margins,
+    # and the comparisons below are written so that NaN fails
+    finite = np.isfinite(sym).all(axis=(1, 2))
+    sym[~finite] = 0.0
+    mineig = np.where(finite, np.linalg.eigvalsh(sym)[:, 0], np.nan)
+    ok = (herm <= tol) & (trace <= STATE_TRACE_TOL) & (mineig >= -tol)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        worst = {"hermiticity": float(herm[i]), "trace": float(trace[i]),
+                 "min_eigenvalue": float(mineig[i])}
+        margins = "hermiticity %.3g, trace offset %.3g, min eigenvalue %.3g" % (
+            worst["hermiticity"], worst["trace"], worst["min_eigenvalue"])
+        if times is None:
+            raise UnphysicalStateError(
+                "unphysical state: %s (tol %.3g)" % (margins, tol), worst=worst)
+        worst = {"t": float(times[i]), **worst}
         raise UnphysicalStateError(
-            "unphysical state: hermiticity %.3g, trace offset %.3g, "
-            "min eigenvalue %.3g (tol %.3g)" % (herm, trace, mineig, tol),
-            worst=worst,
-        )
-    return worst
+            "state left the physical set at t=%.6g: %s" % (worst["t"], margins), worst=worst)
+    return {"hermiticity": float(np.max(herm)), "trace": float(np.max(trace)),
+            "min_eigenvalue": float(np.min(mineig))}
 
 
 def from_pure(amplitudes):

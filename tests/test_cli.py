@@ -145,8 +145,8 @@ def test_template_round_trip(tmp_path):
     for name in template_names():
         out = tmp_path / ("%s.json" % name)
         assert main(["template", name, "--out", str(out)]) == 0
-        reloaded = load_config(str(out))
-        assert reloaded.equivalent(load_template(name))
+        assert out.read_bytes() == template_text(name).encode()
+        load_config(str(out))
 
 
 def test_template_lists_choices_on_stdout(capsys):
@@ -280,3 +280,47 @@ def test_tolerance_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BLOCHDYN_TOL", "1e-6")
     assert main(["simulate", "--config", cfg_path,
                  "--out", str(tmp_path / "w.csv")]) == 0
+
+
+def test_tolerance_read_by_simulate_only(tmp_path, capsys, monkeypatch):
+    doc = make_doc(sweep={"control": 0, "amplitudes": [-2, -1, 0, 1, 2, 3]})
+    cfg_path = write_config(tmp_path, doc)
+    monkeypatch.setenv("BLOCHDYN_TOL", "abc")
+    assert main(["analyze", "--config", cfg_path]) == 0
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    for command in ("analyze", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path, "--out", str(tmp_path / "t"), "--tol", "1e-6"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--tol" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, value):
+    cfg_path = write_config(tmp_path, make_doc())
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out), "--tol", value]) == 2
+    assert "config error" in capsys.readouterr().err
+    monkeypatch.setenv("BLOCHDYN_TOL", value)
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_mid_trajectory_failure_is_physics_error(tmp_path, capsys):
+    doc = make_doc(initial={"density": [[[0.3, 0.0], [0.45, 0.0]], [[0.45, 0.0], [0.7, 0.0]]]})
+    doc["dissipation"] = {
+        "dephasing": [[0.0, 0.0], [0.0, 0.0]],
+        "relaxation": [[0.0, 0.5], [0.0, 0.0]],
+    }
+    doc["field"]["segments"] = [{"duration": 3.0, "values": [0.0, 0.0]}]
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "x.csv"),
+                 "--sample-dt", "0.05"]) == 3
+    err = capsys.readouterr().err
+    assert "physics error" in err
+    assert "left the physical set at t=" in err

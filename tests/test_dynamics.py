@@ -8,6 +8,7 @@ balance point.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blochdyn.bloch import ball_containment, to_affine
 from blochdyn.config import load_template
@@ -19,7 +20,6 @@ from blochdyn.dynamics import (
     semigroup_spectrum,
     steady_state,
     steady_state_sweep,
-    unitary_propagate,
 )
 from blochdyn.errors import (
     NonUniqueEquilibriumError,
@@ -197,19 +197,45 @@ def test_unitary_rabi_flop():
     sys = ControlSystem(h0=np.zeros((2, 2), dtype=complex), controls=(d1 * sx,))
     t_flip = np.pi / (2.0 * d1 * f1)
     field = ControlField.constant([f1], duration=t_flip)
-    traj = unitary_propagate(sys, field, from_pure([1, 0]), sample_dt=t_flip / 64)
+    traj = propagate(sys, DissipationSpec.zero(2), field, from_pure([1, 0]),
+                     sample_dt=t_flip / 64)
     assert abs(np.real(traj.rho[-1][1, 1]) - 1.0) < 1e-12
     assert np.max(np.abs(traj.purities() - 1.0)) < 1e-12
 
 
-def test_unitary_matches_zero_dissipation_propagate():
-    sys, _ = make_qubit()
-    zero = DissipationSpec.zero(2)
-    field = ControlField(segments=((1.2, (0.5, -0.3)), (0.8, (0.0, 0.9))))
-    rho0 = from_pure([1, 1j])
-    uni = unitary_propagate(sys, field, rho0, sample_dt=0.1)
-    full = propagate(sys, zero, field, rho0, sample_dt=0.1)
-    assert np.max(np.abs(uni.rho[-1] - full.rho[-1])) < 1e-11
+def non_cp_qubit():
+    # relaxation 1 -> 0 at rate 0.5 with no dephasing breaks complete
+    # positivity: the coherence outlives the populations it needs
+    sys = qubit_system(0.0, 1.0, d1=0.8, d2=0.5)
+    spec = DissipationSpec(dephasing=np.zeros((2, 2)), relaxation=[[0.0, 0.5], [0.0, 0.0]])
+    return sys, spec, np.array([[0.3, 0.45], [0.45, 0.7]], dtype=complex)
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "sampled"])
+def test_validity_failure_mid_trajectory(kind):
+    sys, spec, rho0 = non_cp_qubit()
+    field = ControlField(segments=((3.0, (0.0, 0.0)),), kind=kind)
+    with pytest.raises(UnphysicalStateError, match="left the physical set at t=") as err:
+        propagate(sys, spec, field, rho0, sample_dt=0.05)
+    worst = err.value.worst
+    assert set(worst) == {"t", "hermiticity", "trace", "min_eigenvalue"}
+    # first grid time at which an independent exponential goes negative
+    gen = total_generator(sys, spec, (0.0, 0.0))
+    grid = 0.05 * np.arange(1, 61)
+    mineigs = [np.linalg.eigvalsh((scipy.linalg.expm(gen * t) @ vectorize(rho0)).reshape(2, 2))[0]
+               for t in grid]
+    first = int(np.argmax(np.array(mineigs) < -1e-7))
+    assert first > 0
+    assert worst["t"] == pytest.approx(grid[first], abs=1e-12)
+    assert worst["min_eigenvalue"] < -1e-7
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_propagate_rejects_bad_validity_tol(tol):
+    sys, spec = make_qubit()
+    field = ControlField.constant([0.0, 0.0], duration=1.0)
+    with pytest.raises(ValueError, match="validity_tol"):
+        propagate(sys, spec, field, from_pure([1, 0]), sample_dt=0.1, validity_tol=tol)
 
 
 def test_zero_rates_preserve_norm_and_purity():

@@ -8,7 +8,6 @@ from blochdyn.model import (
     ControlSystem,
     DissipationSpec,
     dipole_coupling,
-    field_at,
     qubit_system,
     transition_frequency,
 )
@@ -116,6 +115,36 @@ def test_quasi_spin_predicate():
     assert not asymmetric.is_quasi_spin()
 
 
+def rounded_rates():
+    # g_kn + s_k + s_n summed in two orders: symmetric in exact arithmetic,
+    # asymmetric by one rounding in double precision
+    g = np.array([[0.0, 0.1, 0.7], [0.1, 0.0, 0.3], [0.7, 0.3, 0.0]])
+    s = np.array([0.1, 0.2, 0.3])
+    m = g + s[:, None] + s[None, :]
+    np.fill_diagonal(m, 0.0)
+    assert 0 < np.max(np.abs(m - m.T)) < 1e-15
+    return m
+
+
+def test_dephasing_symmetric_up_to_rounding():
+    m = rounded_rates()
+    spec = DissipationSpec(dephasing=m, relaxation=np.zeros((3, 3)))
+    assert np.array_equal(spec.dephasing, spec.dephasing.T)
+    assert np.max(np.abs(spec.dephasing - m)) < 1e-15
+    # symmetric input is stored exactly as given
+    sym = DissipationSpec(dephasing=[[0.0, 0.3], [0.3, 0.0]], relaxation=np.zeros((2, 2)))
+    assert np.array_equal(sym.dephasing, [[0.0, 0.3], [0.3, 0.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        DissipationSpec(dephasing=[[0.0, 0.3], [0.301, 0.0]], relaxation=np.zeros((2, 2)))
+
+
+def test_quasi_spin_up_to_rounding():
+    m = rounded_rates()
+    assert DissipationSpec(dephasing=np.zeros((3, 3)), relaxation=m).is_quasi_spin()
+    m[0, 1] += 1e-3
+    assert not DissipationSpec(dephasing=np.zeros((3, 3)), relaxation=m).is_quasi_spin()
+
+
 def test_dissipation_zero_constructor():
     z = DissipationSpec.zero(3)
     assert np.count_nonzero(z.dephasing) == 0
@@ -132,7 +161,8 @@ def test_field_segments_and_duration():
 def test_field_constant_constructor():
     field = ControlField.constant([0.7, -0.2], duration=4.0)
     assert field.total_duration == pytest.approx(4.0)
-    assert np.allclose(field_at(field, 1.3), [0.7, -0.2])
+    assert len(field.segments) == 1
+    assert np.array_equal(field.segments[0][1], [0.7, -0.2])
 
 
 def test_field_validation():
@@ -143,13 +173,3 @@ def test_field_validation():
     with pytest.raises(ValueError):
         ControlField(segments=((1.0, (0.5,)),), kind="spline")
 
-
-def test_field_at_right_continuous():
-    field = ControlField(segments=((1.0, (1.0,)), (1.0, (2.0,))))
-    assert field_at(field, 0.0)[0] == pytest.approx(1.0)
-    assert field_at(field, 1.0)[0] == pytest.approx(2.0)  # boundary takes next segment
-    assert field_at(field, 2.0)[0] == pytest.approx(2.0)  # final endpoint included
-    with pytest.raises(ValueError):
-        field_at(field, -0.1)
-    with pytest.raises(ValueError):
-        field_at(field, 2.1)

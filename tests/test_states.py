@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochdyn.errors import UnphysicalStateError
 from blochdyn.states import (
@@ -153,6 +155,65 @@ def test_check_density_rejects_bad_inputs():
         check_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     worst = check_density(np.eye(2) / 2)
     assert worst["min_eigenvalue"] >= 0
+    with pytest.raises(UnphysicalStateError):
+        check_density(np.diag([0.5 + 1e-8j, 0.5]))  # imaginary trace
+
+
+CORRUPTIONS = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.sampled_from(["hermiticity", "trace", "imag_trace", "negative", "nan"]),
+        st.sampled_from([1e-12, 5e-10, 2e-9, 1e-8, 5e-7, 1e-3]),
+    ),
+    max_size=4,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dim=st.integers(2, 4), size=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       corruptions=CORRUPTIONS, tol=st.sampled_from([1e-9, 1e-7]))
+def test_stacked_check_matches_per_matrix_check(dim, size, seed, corruptions, tol):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_density(rng, dim) for _ in range(size)])
+    # NaN goes in last, so that the eigendecomposition below sees finite input
+    for index, kind, eps in sorted(corruptions, key=lambda c: c[1] == "nan"):
+        m = stack[index % size]
+        if kind == "hermiticity":
+            m[0, 1] += eps
+        elif kind == "trace":
+            m *= 1.0 + eps
+        elif kind == "imag_trace":
+            m[0, 0] += 1j * eps
+        elif kind == "negative":
+            # move the smallest eigenvalue to -eps, keeping the trace
+            w, v = np.linalg.eigh(m)
+            w[1] += w[0] + eps
+            w[0] = -eps
+            m[:] = (v * w) @ v.conj().T
+        else:
+            m[0, 0] = np.nan
+    first, single = None, []
+    for i, m in enumerate(stack):
+        try:
+            single.append(check_density(m, tol))
+        except UnphysicalStateError as exc:
+            first, single = i, exc.worst
+            break
+    times = 0.5 * np.arange(size)
+    if first is None:
+        worst = check_density(stack, tol, times=times)
+        assert worst == {
+            "hermiticity": max(w["hermiticity"] for w in single),
+            "trace": max(w["trace"] for w in single),
+            "min_eigenvalue": min(w["min_eigenvalue"] for w in single),
+        }
+        return
+    with pytest.raises(UnphysicalStateError) as err:
+        check_density(stack, tol, times=times)
+    assert err.value.worst["t"] == times[first]
+    stacked = {k: v for k, v in err.value.worst.items() if k != "t"}
+    assert list(stacked) == list(single)
+    np.testing.assert_array_equal(list(stacked.values()), list(single.values()))
 
 
 def test_coherence_vector_length_validation():
