@@ -9,12 +9,11 @@ system.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .liouville import build_dissipator, trace_residual
-from .states import gell_mann_basis
+from .states import _extraction_maps
 from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled
 
 
@@ -35,17 +34,6 @@ class AffineGenerator:
 
     def apply(self, v):
         return self.a @ np.asarray(v, dtype=float) + self.b
-
-
-@lru_cache(maxsize=16)
-def _extraction_maps(dim):
-    # rows of R read off components tr(rho g_a) from vec(rho); columns of E
-    # inject coherence directions g_a / 2 back into vec space
-    basis = gell_mann_basis(dim)
-    r = np.array([g.conj().reshape(-1) for g in basis])
-    e = np.column_stack([g.reshape(-1) / 2.0 for g in basis])
-    mixed = np.eye(dim, dtype=complex).reshape(-1) / dim
-    return r, e, mixed
 
 
 def to_affine(superop):

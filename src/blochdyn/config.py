@@ -49,11 +49,19 @@ def _complex_matrix(rows):
     return np.array([[_complex(x) for x in row] for row in rows], dtype=complex)
 
 
+def _finite_number(text):
+    # Python's decoder accepts NaN and Infinity, which JSON lacks, and reads 1e400 as inf
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError("config contains the non-finite number %s" % text)
+    return value
+
+
 def load_config(path):
     """Parse, schema-validate and lower a configuration file."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_finite_number, parse_float=_finite_number)
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
     except json.JSONDecodeError as exc:

@@ -1,9 +1,10 @@
 """Semigroup evolution, spectra and attractors.
 
-Piecewise-constant fields are propagated exactly: each segment contributes
-exp(L dt) factors built once and reused across the sample grid. Sampled
-fields go through a classical fixed-step fourth-order integrator instead.
-Both routes enforce forward time, and all samples pass one validity check.
+States are stepped as real coordinates u = (v, tr rho) under the affine
+generator G(f) = [[A(f), b(f)], [0, 0]]: piecewise fields exactly, by exp(G dt)
+factors reused across each segment's sample grid, sampled fields by a
+classical fixed-step fourth-order integrator. Both routes enforce forward
+time, and all samples pass one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .algebra import affine_embed
 from .bloch import AffineGenerator, to_affine
 from .errors import NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import commutator_superop, total_generator, vectorize
-from .states import CoherenceVector, check_density, gell_mann_basis
+from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
 from .tolerances import (DEGENERATE_CONIC_TOL, GRID_REMAINDER_FRACTION, GRID_STEP_SLACK,
                          PROPAGATION_TOL, SINGULAR_RATIO, SPECTRUM_TOL, overruns)
 
@@ -91,17 +93,32 @@ def default_sample_dt(generators, total_duration, target=0.1):
     return min(total_duration, target / worst)
 
 
+def _affine_parts(sys, spec):
+    """Drift (H0 plus dissipator) and per-control [[A, b], [0, 0]], stacked in that order."""
+    parts = [to_affine(total_generator(sys, spec, np.zeros(sys.n_controls)))]
+    parts += [to_affine(commutator_superop(h, sys.hbar)) for h in sys.controls]
+    return np.array([affine_embed(p) for p in parts])
+
+
+def _generator_at(parts, f):
+    """G(f) = parts[0] + sum_m f_m parts[m + 1] for constant amplitudes f."""
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    if f.size != len(parts) - 1:
+        raise ValueError("expected %d field amplitudes, got %d" % (len(parts) - 1, f.size))
+    return (np.concatenate(([1.0], f)) @ parts.reshape(len(parts), -1)).reshape(parts.shape[1:])
+
+
 def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
               validity_tol=PROPAGATION_TOL):
     """Evolve a state under the dissipative semigroup exp(Lt).
 
-    Piecewise fields are exponentiated exactly per segment and subsampled at
-    sample_dt; sampled fields use fixed fourth-order steps no larger than
-    sample_dt. Zero dissipation gives unitary evolution. Every sample is
-    checked for validity; the trace must hold to 1e-9 and
-    Hermiticity/positivity to validity_tol, which must be positive and finite.
-    The samples are checked together once computed; an error names the
-    first failing one.
+    The state is stepped as u = (v, tr rho) under G(f). Piecewise fields are
+    exponentiated exactly per segment and subsampled at sample_dt; sampled
+    fields use fixed fourth-order steps no larger than sample_dt. Zero
+    dissipation gives unitary evolution. Every sample is checked for validity;
+    the trace must hold to 1e-9 and Hermiticity/positivity to validity_tol,
+    which must be positive and finite. The samples are checked together once
+    computed; an error names the first failing one.
     """
     if not 0.0 < validity_tol < np.inf:
         raise ValueError("validity_tol must be positive and finite")
@@ -110,18 +127,19 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
         raise ValueError("system, dissipation and state dimensions differ")
     segs = _effective_segments(field, duration)
-    gens = [total_generator(sys, spec, values) for _, values in segs]
+    parts = _affine_parts(sys, spec)
     if sample_dt is None:
-        total = sum(d for d, _ in segs)
-        sample_dt = default_sample_dt(gens, total if total > 0 else 1.0)
+        sample_dt = default_sample_dt([total_generator(sys, spec, v) for _, v in segs],
+                                      sum(d for d, _ in segs) or 1.0)
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
 
-    v = vectorize(rho0)
+    u = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)), np.trace(rho0).real)
     times = [0.0]
-    vs = [v]
+    us = [u]
     t0 = 0.0
-    for (dur, _), gen in zip(segs, gens):
+    for dur, values in segs:
+        gen = _generator_at(parts, values)
         if field.kind == "piecewise":
             # uniform grid reusing one step operator; a remainder shorter
             # than dt is folded into a final sample at the exact segment end
@@ -132,12 +150,12 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
             if m > 0:
                 p = expm(gen, sample_dt)
                 for k in range(1, m + 1):
-                    v = p @ v
-                    vs.append(v)
+                    u = p @ u
+                    us.append(u)
                     times.append(t0 + dur if r == 0.0 and k == m else t0 + k * sample_dt)
             if r > 0.0:
-                v = expm(gen, r) @ v
-                vs.append(v)
+                u = expm(gen, r) @ u
+                us.append(u)
                 times.append(t0 + dur)
         else:
             # held samples: integrate with the generator frozen per segment,
@@ -145,20 +163,16 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
             n = max(1, int(np.ceil(dur / sample_dt - GRID_STEP_SLACK)))
             h = dur / n
             for k in range(1, n + 1):
-                v = _rk4_step(gen, v, h)
-                vs.append(v)
+                u = _rk4_step(gen, u, h)
+                us.append(u)
                 times.append(t0 + dur if k == n else t0 + k * h)
         t0 += dur
-    rhos = np.array(vs).reshape(-1, sys.dim, sys.dim)
+    us = np.array(us)
+    rhos = np.concatenate([rho0[None], density_from_coordinates(us[1:], sys.dim)])
     if len(times) > 1:
         check_density(rhos[1:], validity_tol, times=times[1:])
-    basis = np.array(gell_mann_basis(sys.dim))
-    return Trajectory(
-        times=np.array(times, dtype=float),
-        rho=rhos,
-        bloch=np.einsum("aij,nji->na", basis, rhos).real,
-        trace_part=np.einsum("nii->n", rhos).real,
-    )
+    return Trajectory(times=np.array(times, dtype=float), rho=rhos, bloch=us[:, :-1],
+                      trace_part=us[:, -1])
 
 
 def _rk4_step(gen, v, h):
@@ -217,8 +231,7 @@ def steady_state(sys, spec, f):
     (pure rotations, vanishing rates) and is reported as an error carrying
     the null-space dimension.
     """
-    aff = to_affine(total_generator(sys, spec, f))
-    v, singular = _fixed_points(aff.a[None], aff.b[None])
+    v, singular = _fixed_points(_generator_at(_affine_parts(sys, spec), f)[None])
     if singular is not None:
         null_dim = singular[1]
         raise NonUniqueEquilibriumError(
@@ -228,19 +241,19 @@ def steady_state(sys, spec, f):
     return CoherenceVector(bloch=v[0], trace_part=1.0)
 
 
-def _fixed_points(a, b):
-    """Solve A_k v_k = -b_k for a stack of affine parts, A of shape (K, n, n).
+def _fixed_points(gens):
+    """Solve A_k v_k = -b_k for a stack of [[A_k, b_k], [0, 0]], shape (K, n+1, n+1).
 
     Singular values at or below SINGULAR_RATIO times the largest count as zero.
     Returns (v, None), or (None, (k, null_dim)) for the first singular A_k.
     """
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(gens[:, :-1, :-1], compute_uv=False)
     null_dims = np.sum(s <= SINGULAR_RATIO * s[:, :1], axis=1)
     singular = np.flatnonzero(null_dims)
     if singular.size:
         k = int(singular[0])
         return None, (k, int(null_dims[k]))
-    return np.linalg.solve(a, -b[..., None])[..., 0], None
+    return np.linalg.solve(gens[:, :-1, :-1], -gens[:, :-1, -1:])[..., 0], None
 
 
 @dataclass(frozen=True)
@@ -287,11 +300,8 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
         raise ValueError("need at least 6 amplitudes for a conic fit")
     if not 0 <= control_index < sys.n_controls:
         raise ValueError("control index %d out of range" % control_index)
-    drift = to_affine(total_generator(sys, spec, np.zeros(sys.n_controls)))
-    control = to_affine(commutator_superop(sys.controls[control_index], sys.hbar))
-    a = drift.a + amplitudes[:, None, None] * control.a
-    b = drift.b + amplitudes[:, None] * control.b
-    points, singular = _fixed_points(a, b)
+    drift, control = _affine_parts(sys, spec)[[0, control_index + 1]]
+    points, singular = _fixed_points(drift + amplitudes[:, None, None] * control)
     if singular is not None:
         k, null_dim = singular
         raise NonUniqueEquilibriumError(

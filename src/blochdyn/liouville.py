@@ -35,7 +35,10 @@ def commutator_superop(h, hbar=1.0):
     h = _check_hermitian(h, "H")
     dim = h.shape[0]
     eye = np.eye(dim)
-    return (np.kron(h, eye) - np.kron(eye, h.T)) / (1j * hbar)
+    # entry (ij, kl) is H[i, k] delta[j, l] - delta[i, k] H[l, j]
+    left = h[:, None, :, None] * eye[None, :, None, :]
+    right = eye[:, None, :, None] * h.T[None, :, None, :]
+    return (left - right).reshape(dim * dim, dim * dim) / (1j * hbar)
 
 
 def build_dissipator(spec):
@@ -46,14 +49,11 @@ def build_dissipator(spec):
     """
     dim = spec.dim
     ld = np.zeros((dim * dim, dim * dim), dtype=complex)
-    idx = lambda a, b: a * dim + b
-    for n in range(dim):
-        for k in range(dim):
-            if k == n:
-                continue
-            ld[idx(k, n), idx(k, n)] = -spec.dephasing[k, n]
-            ld[idx(n, n), idx(k, k)] += spec.relaxation[n, k]
-            ld[idx(n, n), idx(n, n)] -= spec.relaxation[k, n]
+    # the diagonal entries at populations (nn, nn) are overwritten below
+    np.fill_diagonal(ld, -spec.dephasing.reshape(-1))
+    pops = np.arange(dim) * (dim + 1)
+    ld[pops[:, None], pops] += spec.relaxation
+    ld[pops, pops] = 0.0 - spec.relaxation.sum(axis=0)
     return ld
 
 

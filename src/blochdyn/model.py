@@ -17,8 +17,8 @@ from .tolerances import exceeds_scaled
 
 def _check_hermitian(m, name):
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("%s must be a square matrix" % name)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
+        raise ValueError("%s must be a finite square matrix" % name)
     if exceeds_scaled(np.max(np.abs(m - m.conj().T)), np.max(np.abs(m))):
         raise ValueError("%s must be Hermitian" % name)
     return m
@@ -37,8 +37,8 @@ class ControlSystem:
         controls = tuple(
             _check_hermitian(h, "control %d" % m) for m, h in enumerate(self.controls)
         )
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive and finite")
         for m, h in enumerate(controls):
             if h.shape != h0.shape:
                 raise ValueError("control %d dimension differs from h0" % m)
@@ -84,8 +84,8 @@ class DissipationSpec:
         r = np.asarray(self.relaxation, dtype=float)
         if g.shape != r.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("rate matrices must be square and same shape")
-        if np.any(g < 0) or np.any(r < 0):
-            raise ValueError("rates must be nonnegative")
+        if not (np.all((g >= 0) & (g < np.inf)) and np.all((r >= 0) & (r < np.inf))):
+            raise ValueError("rates must be finite and nonnegative")
         if exceeds_scaled(np.max(np.abs(g - g.T)), np.max(np.abs(g))):
             raise ValueError("dephasing matrix must be symmetric")
         g = 0.5 * (g + g.T)
@@ -129,8 +129,8 @@ class ControlField:
         for dur, values in self.segments:
             dur = float(dur)
             values = np.atleast_1d(np.asarray(values, dtype=float))
-            if dur <= 0:
-                raise ValueError("segment durations must be positive")
+            if not 0 < dur < np.inf:
+                raise ValueError("segment durations must be positive and finite")
             if not np.all(np.isfinite(values)):
                 raise ValueError("field values must be finite")
             segs.append((dur, values))

@@ -75,6 +75,23 @@ def gell_mann_basis(dim):
     return tuple(mats)
 
 
+@lru_cache(maxsize=16)
+def _extraction_maps(dim):
+    # rows of R read off components tr(rho g_a) from vec(rho); columns of E
+    # inject coherence directions g_a / 2 back into vec space
+    basis = gell_mann_basis(dim)
+    r = np.array([g.conj().reshape(-1) for g in basis])
+    e = np.column_stack([g.reshape(-1) / 2.0 for g in basis])
+    mixed = np.eye(dim, dtype=complex).reshape(-1) / dim
+    return r, e, mixed
+
+
+def density_from_coordinates(u, dim):
+    """rho = (s/N) I + (1/2) sum_a v_a g_a per row u = (v, s): one matmul with [E, vec(I)/N]."""
+    _, e, mixed = _extraction_maps(dim)
+    return (u @ np.column_stack([e, mixed]).T).reshape(u.shape[:-1] + (dim, dim))
+
+
 def check_density(rho, tol=VALIDITY_TOL, times=None):
     """Validate Hermiticity, unit trace and positivity of density matrices.
 
@@ -152,10 +169,7 @@ def from_coherence_vector(v, tol=VALIDITY_TOL):
     Raises UnphysicalStateError when the coordinates do not describe a
     positive matrix (for N = 2: the vector pokes outside the Bloch ball).
     """
-    basis = gell_mann_basis(v.dim)
-    rho = np.eye(v.dim, dtype=complex) * (v.trace_part / v.dim)
-    for coef, g in zip(v.bloch, basis):
-        rho += 0.5 * coef * g
+    rho = density_from_coordinates(np.append(v.bloch, v.trace_part), v.dim)
     mineig = float(np.linalg.eigvalsh(rho)[0])
     if mineig < -tol:
         raise UnphysicalStateError(

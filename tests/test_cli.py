@@ -324,3 +324,59 @@ def test_simulate_mid_trajectory_failure_is_physics_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "physics error" in err
     assert "left the physical set at t=" in err
+
+
+def _put_energy(doc, x):
+    doc["system"]["energies"][1] = x
+
+
+def _put_dephasing(doc, x):
+    doc["dissipation"]["dephasing"][0][1] = doc["dissipation"]["dephasing"][1][0] = x
+
+
+def _put_duration(doc, x):
+    doc["field"]["segments"][0]["duration"] = x
+
+
+def _put_hbar(doc, x):
+    doc["system"]["hbar"] = x
+
+
+def _put_sweep_amplitude(doc, x):
+    doc["sweep"] = {"control": 0, "amplitudes": [x, -1.0, 0.0, 1.0, 2.0, 3.0]}
+
+
+PUTS = [_put_energy, _put_dephasing, _put_duration, _put_hbar, _put_sweep_amplitude]
+PUT_IDS = ["energy", "dephasing", "duration", "hbar", "sweep_amplitude"]
+# a number that appears nowhere else in the config, swapped for the literal
+PLACEHOLDER = 123.25
+
+
+@pytest.mark.parametrize("put", PUTS, ids=PUT_IDS)
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, put, literal):
+    # NaN and Infinity are not JSON, and 1e400 would decode to inf
+    doc = make_doc(sweep={"control": 0, "amplitudes": [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]})
+    put(doc, PLACEHOLDER)
+    text = json.dumps(doc)
+    assert text.count(repr(PLACEHOLDER)) >= 1
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text.replace(repr(PLACEHOLDER), literal))
+    out = tmp_path / "x.csv"
+    for command in ("simulate", "analyze", "sweep"):
+        args = [command, "--config", str(path)]
+        assert main(args + ([] if command == "analyze" else ["--out", str(out)])) == 2
+        captured = capsys.readouterr()
+        assert "config error: config contains the non-finite number %s" % literal in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("put", PUTS[:4], ids=PUT_IDS[:4])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_parse_config_rejects_non_finite_model_numbers(put, value):
+    # documents decoded elsewhere reach the model's own finiteness checks
+    doc = make_doc()
+    put(doc, value)
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(doc)

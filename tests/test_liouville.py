@@ -172,3 +172,44 @@ def test_support_overlap_empty_for_three_level_ladder():
     spec = DissipationSpec(dephasing=deph, relaxation=relax)
     controls = tuple(commutator_superop(c) * 1j for c in sys.controls)
     assert support_overlap(controls, build_dissipator(spec)) == ()
+
+
+def dissipator_by_loop(spec):
+    """The element-by-element assembly the vectorized builder replaces."""
+    dim = spec.dim
+    ld = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for n in range(dim):
+        for k in range(dim):
+            if k == n:
+                continue
+            ld[k * dim + n, k * dim + n] = -spec.dephasing[k, n]
+            ld[n * dim + n, k * dim + k] += spec.relaxation[n, k]
+            ld[n * dim + n, n * dim + n] -= spec.relaxation[k, n]
+    return ld
+
+
+def commutator_by_kron(h, hbar):
+    eye = np.eye(h.shape[0])
+    return (np.kron(h, eye) - np.kron(eye, h.T)) / (1j * hbar)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_assembly_bit_identical_to_loop_and_kron(dim):
+    rng = np.random.default_rng(500 + dim)
+    for trial in range(25):
+        # sparse rates over several decades, and all-zero (also -0.0) columns
+        mask = rng.random((dim, dim)) < 0.7
+        deph = np.triu(rng.exponential(size=(dim, dim)) * mask, 1)
+        relax = rng.exponential(size=(dim, dim)) * 10.0 ** rng.integers(-6, 3, (dim, dim))
+        relax *= rng.random((dim, dim)) < 0.6
+        np.fill_diagonal(relax, 0.0)
+        if trial % 5 == 0:
+            relax = -0.0 * relax
+        spec = DissipationSpec(dephasing=deph + deph.T, relaxation=relax)
+        got, want = build_dissipator(spec), dissipator_by_loop(spec)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = a + a.conj().T if trial % 3 else (a + a.T).real.astype(complex)
+        hbar = float(rng.uniform(0.2, 3.0))
+        got, want = commutator_superop(h, hbar), commutator_by_kron(h, hbar)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()

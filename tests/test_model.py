@@ -97,6 +97,22 @@ def test_dissipation_spec_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_numbers_rejected(bad):
+    with pytest.raises(ValueError, match="h0 must be a finite square matrix"):
+        ControlSystem(h0=np.diag([0.0, bad]), controls=())
+    with pytest.raises(ValueError, match="control 0 must be a finite square matrix"):
+        ControlSystem(h0=np.zeros((2, 2)), controls=(np.array([[0.0, bad], [bad, 0.0]]),))
+    with pytest.raises(ValueError, match="hbar"):
+        ControlSystem(h0=np.zeros((2, 2)), controls=(), hbar=bad)
+    with pytest.raises(ValueError, match="rates must be finite and nonnegative"):
+        DissipationSpec(dephasing=[[0.0, bad], [bad, 0.0]], relaxation=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="rates must be finite and nonnegative"):
+        DissipationSpec(dephasing=np.zeros((2, 2)), relaxation=[[0.0, bad], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="durations must be positive and finite"):
+        ControlField(segments=((1.0, (0.5,)), (bad, (0.5,))))
+
+
 def test_quasi_spin_predicate():
     pure_dephasing = DissipationSpec(
         dephasing=[[0.0, 0.3], [0.3, 0.0]],

@@ -1,0 +1,115 @@
+"""Property tests of propagation over random admissible systems, N = 2...4.
+
+The reference is an ordered product of scipy.linalg.expm over the complex
+Liouville generator of each segment, independent of the real affine
+coordinates that propagate steps. Examples are derandomized, so every run
+draws the same systems.
+"""
+
+import numpy as np
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blochdyn.dynamics import propagate
+from blochdyn.liouville import total_generator, vectorize
+from blochdyn.model import ControlField, ControlSystem, DissipationSpec
+
+PROPERTIES = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def admissible_system(rng, dim):
+    """Ladder with dipoles between neighbours and completely positive rates.
+
+    Each dephasing rate is at least half the relaxation leaving its two
+    levels, which keeps the semigroup completely positive.
+    """
+    h0 = np.diag(np.cumsum(rng.uniform(0.3, 1.5, dim))).astype(complex)
+    controls = []
+    for j in range(dim - 1):
+        h = np.zeros((dim, dim), dtype=complex)
+        h[j, j + 1] = rng.uniform(0.2, 1.2) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        h[j + 1, j] = np.conj(h[j, j + 1])
+        controls.append(h)
+    relax = rng.uniform(0.0, 0.4, (dim, dim))
+    np.fill_diagonal(relax, 0.0)
+    leaving = relax.sum(axis=0)
+    slack = rng.uniform(0.0, 0.3, (dim, dim))
+    deph = np.triu(0.5 * (leaving[:, None] + leaving[None, :]) + slack, 1)
+    return (ControlSystem(h0=h0, controls=tuple(controls), hbar=float(rng.uniform(0.5, 2.0))),
+            DissipationSpec(dephasing=deph + deph.T, relaxation=relax))
+
+
+def random_state(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_segments(rng, n_controls):
+    return tuple((float(rng.uniform(0.1, 1.0)), rng.uniform(-1.0, 1.0, n_controls))
+                 for _ in range(int(rng.integers(1, 5))))
+
+
+def product_of_exponentials(sys, spec, segments, rho0):
+    v = vectorize(rho0)
+    for dur, values in segments:
+        v = scipy.linalg.expm(total_generator(sys, spec, values) * dur) @ v
+    return v.reshape(rho0.shape)
+
+
+CASES = dict(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+
+
+@PROPERTIES
+@given(**CASES)
+def test_exact_route_matches_product_of_exponentials(dim, seed):
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    segments, rho0 = random_segments(rng, dim - 1), random_state(rng, dim)
+    traj = propagate(sys, spec, ControlField(segments=segments), rho0,
+                     sample_dt=float(rng.uniform(0.05, 0.3)))
+    expected = product_of_exponentials(sys, spec, segments, rho0)
+    assert np.max(np.abs(traj.rho[-1] - expected)) <= 1e-12
+
+
+@PROPERTIES
+@given(**CASES)
+def test_rk4_route_matches_product_of_exponentials(dim, seed):
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    segments, rho0 = random_segments(rng, dim - 1), random_state(rng, dim)
+    # steps with h |L| <= 0.05 keep the fourth-order error far below 1e-6
+    scale = max(np.linalg.norm(total_generator(sys, spec, v), 2) for _, v in segments)
+    traj = propagate(sys, spec, ControlField(segments=segments, kind="sampled"), rho0,
+                     sample_dt=0.05 / scale)
+    expected = product_of_exponentials(sys, spec, segments, rho0)
+    assert np.max(np.abs(traj.rho[-1] - expected)) <= 1e-6
+
+
+@PROPERTIES
+@given(**CASES, split=st.floats(0.1, 0.9))
+def test_one_segment_equals_two_halves(dim, seed, split):
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    values, rho0 = rng.uniform(-1.0, 1.0, dim - 1), random_state(rng, dim)
+    total = float(rng.uniform(0.2, 2.0))
+    s, t = split * total, total - split * total
+    whole = propagate(sys, spec, ControlField(segments=((s + t, values),)), rho0,
+                      sample_dt=s + t)
+    halves = propagate(sys, spec, ControlField(segments=((s, values), (t, values))), rho0,
+                       sample_dt=s + t)
+    assert np.max(np.abs(whole.rho[-1] - halves.rho[-1])) <= 1e-12
+
+
+@PROPERTIES
+@given(**CASES, kind=st.sampled_from(["piecewise", "sampled"]))
+def test_samples_hermitian_with_unit_trace(dim, seed, kind):
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    segments, rho0 = random_segments(rng, dim - 1), random_state(rng, dim)
+    traj = propagate(sys, spec, ControlField(segments=segments, kind=kind), rho0,
+                     sample_dt=0.05)
+    assert np.max(np.abs(traj.rho - traj.rho.conj().swapaxes(1, 2))) <= 1e-12
+    assert np.max(np.abs(traj.trace_part - 1.0)) <= 1e-12
+    assert np.max(np.abs(np.trace(traj.rho, axis1=1, axis2=2) - 1.0)) <= 1e-12

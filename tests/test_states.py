@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochdyn.dynamics import propagate
 from blochdyn.errors import UnphysicalStateError
+from blochdyn.model import ControlField, ControlSystem, DissipationSpec
 from blochdyn.states import (
     CoherenceVector,
     check_density,
+    density_from_coordinates,
     from_coherence_vector,
     from_pure,
     gell_mann_basis,
@@ -102,11 +105,35 @@ def test_coherence_components_superposition():
 
 def test_round_trip_random_states():
     rng = np.random.default_rng(7)
-    for dim in (2, 3, 4):
+    for dim in (2, 3, 4, 5):
         for _ in range(20):
             rho = random_density(rng, dim)
-            back = from_coherence_vector(to_coherence_vector(rho))
+            v = to_coherence_vector(rho)
+            back = from_coherence_vector(v)
             assert np.max(np.abs(back - rho)) < 1e-12
+            assert np.max(np.abs(to_coherence_vector(back).bloch - v.bloch)) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_from_coherence_vector_matches_propagated_samples(dim):
+    # a propagated sample is rebuilt by the same map; a single row and a
+    # stack of rows may take different BLAS kernels, hence the rounding slack
+    rng = np.random.default_rng(40 + dim)
+    h0 = np.diag(np.arange(dim, dtype=float)).astype(complex)
+    drive = np.zeros((dim, dim), dtype=complex)
+    drive[0, 1] = drive[1, 0] = 0.7
+    rates = np.full((dim, dim), 0.2)
+    np.fill_diagonal(rates, 0.0)
+    traj = propagate(ControlSystem(h0=h0, controls=(drive,)),
+                     DissipationSpec(dephasing=rates, relaxation=0.5 * rates),
+                     ControlField.constant([0.8], duration=1.0), random_density(rng, dim),
+                     sample_dt=0.1)
+    for k in range(1, len(traj)):
+        rho = from_coherence_vector(CoherenceVector(bloch=traj.bloch[k],
+                                                    trace_part=traj.trace_part[k]))
+        assert np.max(np.abs(rho - traj.rho[k])) <= 1e-15
+    stacked = density_from_coordinates(np.column_stack([traj.bloch, traj.trace_part]), dim)
+    assert np.array_equal(stacked[1:], traj.rho[1:])
 
 
 def test_from_coherence_trivial_points():
