@@ -32,9 +32,6 @@ class AffineGenerator:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    def apply(self, v):
-        return self.a @ np.asarray(v, dtype=float) + self.b
-
 
 def to_affine(superop):
     """Extract (A, b) from a trace-preserving Liouville generator.

@@ -35,12 +35,13 @@ def _bloch_labels(dim):
 
 def _write_table(path, preamble, header, rows):
     # LF endings and 17 significant digits keep reruns byte-identical
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write("# %s\n" % line)
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(fmt % tuple(row))
 
 
 def cmd_simulate(cfg, out, sample_dt=None, tol=PROPAGATION_TOL):
@@ -166,6 +167,8 @@ def cmd_sweep(cfg, out, control=None, amplitudes=None):
     amplitudes = np.asarray(amplitudes, dtype=float)
     if amplitudes.size < 6:
         raise ConfigError("insufficient samples: a conic fit needs at least 6 amplitudes")
+    if not np.all(np.isfinite(amplitudes)):
+        raise ConfigError("sweep amplitudes must be finite")
     if not 0 <= int(control) < cfg.system.n_controls:
         raise ConfigError("sweep control index %d out of range" % control)
     rep = steady_state_sweep(cfg.system, cfg.dissipation, int(control), amplitudes)

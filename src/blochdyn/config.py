@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import ConfigError
@@ -74,6 +73,10 @@ def load_config(path):
 
 def parse_config(doc):
     """Lower an already-decoded configuration document."""
+    # imported here, not at the top, so that importing the package or
+    # emitting a template does not pay for the validator
+    import jsonschema
+
     try:
         jsonschema.validate(doc, _schema())
     except jsonschema.ValidationError as exc:

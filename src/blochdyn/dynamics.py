@@ -15,7 +15,6 @@ plane of the attractor points.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .algebra import affine_embed
 from .bloch import AffineGenerator, to_affine
@@ -27,13 +26,19 @@ from .tolerances import (DEGENERATE_CONIC_TOL, GRID_REMAINDER_FRACTION, GRID_STE
 
 
 def expm(m, t=1.0):
-    """exp(m t) via scipy.linalg.expm, after finiteness and shape checks."""
+    """exp(m t) via scipy.linalg.expm, after finiteness and shape checks.
+
+    scipy.linalg is imported on the first call, so that runs which never
+    exponentiate (sampled fields, sweeps, analysis) do not pay its import.
+    """
+    import scipy.linalg
+
     m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix exponential of non-finite input")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    return sla.expm(m * t)
+    return scipy.linalg.expm(m * t)
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,6 @@ class Trajectory:
     def purities(self):
         """tr(rho^2) at every sample."""
         return np.einsum("nij,nji->n", self.rho, self.rho).real
-
-    def final_coherence(self):
-        return CoherenceVector(bloch=self.bloch[-1], trace_part=float(self.trace_part[-1]))
 
 
 def _effective_segments(field, duration):
@@ -229,8 +231,10 @@ def steady_state(sys, spec, f):
 
     Solves A v* = -b. A singular A means the fixed point is not unique
     (pure rotations, vanishing rates) and is reported as an error carrying
-    the null-space dimension.
+    the null-space dimension. Non-finite amplitudes raise ValueError.
     """
+    if not np.all(np.isfinite(f)):
+        raise ValueError("field amplitudes must be finite")
     v, singular = _fixed_points(_generator_at(_affine_parts(sys, spec), f)[None])
     if singular is not None:
         null_dim = singular[1]
@@ -292,10 +296,14 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
 
     The remaining controls are held at zero. Needs at least 6 samples to
     pin down a conic. (A, b) is linear in the amplitude, so it is assembled
-    once and every point is solved in one batch. Raises
-    NonUniqueEquilibriumError naming the first amplitude whose A is singular.
+    once and every point is solved in one batch. Raises ValueError naming
+    the first non-finite amplitude, and NonUniqueEquilibriumError naming the
+    first amplitude whose A is singular.
     """
     amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
+    finite = np.isfinite(amplitudes)
+    if not finite.all():
+        raise ValueError("non-finite amplitude %g" % amplitudes[np.argmin(finite)])
     if amplitudes.size < 6:
         raise ValueError("need at least 6 amplitudes for a conic fit")
     if not 0 <= control_index < sys.n_controls:

@@ -167,8 +167,11 @@ def from_coherence_vector(v, tol=VALIDITY_TOL):
     """Reassemble the density matrix rho = (s/N) I + (1/2) sum_a v_a g_a.
 
     Raises UnphysicalStateError when the coordinates do not describe a
-    positive matrix (for N = 2: the vector pokes outside the Bloch ball).
+    positive matrix (for N = 2: the vector pokes outside the Bloch ball),
+    and ValueError for non-finite coordinates.
     """
+    if not (np.all(np.isfinite(v.bloch)) and np.isfinite(v.trace_part)):
+        raise ValueError("coherence vector has non-finite coordinates")
     rho = density_from_coordinates(np.append(v.bloch, v.trace_part), v.dim)
     mineig = float(np.linalg.eigvalsh(rho)[0])
     if mineig < -tol:

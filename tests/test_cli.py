@@ -1,11 +1,13 @@
-"""Config parsing and command-line interface tests (in-process)."""
+"""Config parsing and command-line interface tests (in-process, except the import probes)."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from blochdyn.cli import main
+from blochdyn.cli import _write_table, main
 from blochdyn.config import (
     load_config,
     load_template,
@@ -13,6 +15,7 @@ from blochdyn.config import (
     template_names,
     template_text,
 )
+from blochdyn.dynamics import propagate
 from blochdyn.errors import ConfigError, UnphysicalStateError
 
 BASE = {
@@ -171,6 +174,79 @@ def test_simulate_writes_deterministic_csv(tmp_path):
     assert float(first.split(",")[0]) == 0.0
 
 
+def _per_cell_csv(header, rows):
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % x for x in row) + "\n" for row in rows)
+
+
+def test_write_table_matches_per_cell_format(tmp_path):
+    rows = np.column_stack([
+        np.random.default_rng(7).standard_normal(5),
+        [-0.0, 0.0, 1e-300, 1e300, -1e-300],
+        [1.0, -2.0, 1e16, 2.0 ** 53, 123456789.0],
+    ])
+    out = tmp_path / "t.csv"
+    _write_table(str(out), ["first", "second"], ["a", "b", "c"], rows)
+    expected = "# first\n# second\n" + _per_cell_csv(["a", "b", "c"], rows)
+    assert out.read_bytes() == expected.encode()
+
+
+def test_simulate_rho_table_matches_per_cell_format(tmp_path):
+    doc = json.loads(template_text("three_level_ladder"))
+    doc["run"]["outputs"] = ["bloch", "purity", "rho"]
+    out = tmp_path / "rho.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    cfg = parse_config(doc)
+    traj = propagate(cfg.system, cfg.dissipation, cfg.field, cfg.rho0,
+                     sample_dt=cfg.sample_dt, duration=cfg.duration)
+    header = ["time"] + ["v%d" % a for a in range(1, 9)] + ["trace_part", "purity"]
+    columns = [traj.times, *traj.bloch.T, traj.trace_part, traj.purities()]
+    for i in range(3):
+        for j in range(3):
+            header += ["rho%d%d_re" % (i, j), "rho%d%d_im" % (i, j)]
+            columns += [traj.rho[:, i, j].real, traj.rho[:, i, j].imag]
+    assert out.read_bytes() == _per_cell_csv(header, np.column_stack(columns)).encode()
+
+
+# Runs blochdyn.cli.main(argv) in a fresh interpreter and reports on stderr
+# which of the optional heavy imports it left in sys.modules.
+_IMPORT_PROBE = """
+import sys
+import blochdyn.cli
+if sys.argv[1:]:
+    assert blochdyn.cli.main(sys.argv[1:]) == 0
+sys.stderr.write(" ".join(m for m in ("scipy.linalg", "jsonschema") if m in sys.modules))
+"""
+
+
+def _heavy_imports_after(argv):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE] + argv,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_importing_the_cli_loads_neither_scipy_nor_jsonschema():
+    assert _heavy_imports_after([]) == set()
+
+
+@pytest.mark.parametrize("command, template, expected", [
+    ("template", "driven_qubit", set()),
+    ("analyze", "driven_qubit", {"jsonschema"}),
+    ("sweep", "driven_qubit", {"jsonschema"}),
+    ("simulate", "quasi_spin_qubit", {"jsonschema"}),  # sampled field: RK4, no expm
+    ("simulate", "driven_qubit", {"jsonschema", "scipy.linalg"}),  # piecewise: exact route
+])
+def test_scipy_loaded_only_by_exact_route(tmp_path, command, template, expected):
+    if command == "template":
+        argv = ["template", template, "--out", str(tmp_path / "t.json")]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(template_text(template))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert _heavy_imports_after(argv) == expected
+
+
 def test_simulate_sample_dt_flag(tmp_path):
     cfg_path = write_config(tmp_path, make_doc())
     out = tmp_path / "fine.csv"
@@ -256,6 +332,14 @@ def test_sweep_requires_amplitudes_somewhere(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_sweep_non_finite_amplitude_flag_is_config_error(tmp_path, capsys, bad):
+    cfg_path = write_config(tmp_path, make_doc())
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "s.csv"),
+                 "--control", "0", "--amplitudes", "0,1,2,%s,3,4" % bad]) == 2
+    assert "sweep amplitudes must be finite" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys):

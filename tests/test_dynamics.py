@@ -254,9 +254,9 @@ def test_trajectory_accessors():
     traj = propagate(sys, spec, field, from_pure([1, 0]), sample_dt=0.25)
     assert traj.dim == 2
     assert len(traj) == len(traj.times)
-    final = traj.final_coherence()
+    final = to_coherence_vector(traj.rho[-1])
     assert np.allclose(final.bloch, traj.bloch[-1])
-    assert final.trace_part == pytest.approx(1.0)
+    assert traj.trace_part[-1] == pytest.approx(1.0)
 
 
 def test_dissipator_spectrum_closed_form():
@@ -322,7 +322,7 @@ def test_steady_state_is_fixed_point_of_flow():
     for f in [(0.0, 0.0), (0.8, 0.0), (0.3, -1.1)]:
         v = steady_state(sys, spec, f)
         gen = to_affine(total_generator(sys, spec, f))
-        assert np.linalg.norm(gen.apply(v.bloch)) < 1e-12
+        assert np.linalg.norm(gen.a @ v.bloch + gen.b) < 1e-12
 
 
 def test_steady_state_requires_unique_equilibrium():
@@ -393,3 +393,12 @@ def test_sweep_validation():
         steady_state_sweep(sys, spec, 0, [0.0, 1.0])  # too few amplitudes
     with pytest.raises(ValueError):
         steady_state_sweep(sys, spec, 5, [0, 0.5, 1, 1.5, 2, 2.5])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_amplitudes_rejected_before_solving(bad):
+    cfg = load_template("driven_qubit")
+    with pytest.raises(ValueError, match="non-finite amplitude %g" % bad):
+        steady_state_sweep(cfg.system, cfg.dissipation, 0, [0.0, 1.0, 2.0, bad, 3.0, 4.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        steady_state(cfg.system, cfg.dissipation, (bad, 0.0))

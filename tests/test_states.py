@@ -149,6 +149,19 @@ def test_from_coherence_outside_ball_rejected():
         from_coherence_vector(v)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("where", ["bloch", "trace_part"])
+def test_from_coherence_non_finite_rejected(dim, where):
+    bloch = np.zeros(dim * dim - 1)
+    trace_part = 1.0
+    if where == "bloch":
+        bloch[0] = np.nan
+    else:
+        trace_part = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        from_coherence_vector(CoherenceVector(bloch=bloch, trace_part=trace_part))
+
+
 def test_purity_matches_coherence_formula():
     # purity = (trace_part^2 + |v|^2) / 2 for two levels
     rng = np.random.default_rng(23)
