@@ -40,6 +40,7 @@ from .liouville import (
     build_dissipator,
     commutator_superop,
     devectorize,
+    generator_pieces,
     qubit_superoperators,
     support_overlap,
     total_generator,
@@ -97,6 +98,7 @@ __all__ = [
     "from_coherence_vector",
     "from_pure",
     "gell_mann_basis",
+    "generator_pieces",
     "hamiltonian_algebra",
     "lie_closure",
     "propagate",

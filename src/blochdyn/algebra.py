@@ -18,7 +18,7 @@ import numpy as np
 
 from .bloch import AffineGenerator, to_affine
 from .errors import ClosureError
-from .liouville import build_dissipator, commutator_superop
+from .liouville import generator_pieces
 from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM
 
 MAX_DEPTH = 8
@@ -139,26 +139,24 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
     )
 
 
-def hamiltonian_algebra(sys, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
+def hamiltonian_algebra(sys, tol=CLOSURE_TOL):
     """Real Lie algebra generated by {i H0 / hbar, i H_m / hbar}."""
     gens = [complex_to_real(1j * sys.h0 / sys.hbar)]
     for h in sys.controls:
         gens.append(complex_to_real(1j * h / sys.hbar))
-    return lie_closure(gens, tol=tol, max_depth=max_depth)
+    return lie_closure(gens, tol=tol)
 
 
 def affine_generator_set(sys, spec):
-    """Embedded affine generators of the controlled dissipative flow.
+    """Embedded affine images [[A, b], [0, 0]] of the generator pieces.
 
-    One matrix for the internal drift, one per control Hamiltonian, one for
-    the dissipator; their closure is the full dynamical algebra on the
-    coherence vector.
+    One matrix each for L0, for every L_m and for L_D, in the order of
+    liouville.generator_pieces, returned as a list. Weighted by
+    (1, f_1..f_M, 1) they sum to the affine generator G(f) that propagation
+    and the steady states use; their closure is the full dynamical algebra
+    on the coherence vector.
     """
-    gens = [affine_embed(to_affine(commutator_superop(sys.h0, sys.hbar)))]
-    for h in sys.controls:
-        gens.append(affine_embed(to_affine(commutator_superop(h, sys.hbar))))
-    gens.append(affine_embed(to_affine(build_dissipator(spec))))
-    return gens
+    return [affine_embed(to_affine(p)) for p in generator_pieces(sys, spec)]
 
 
 def decompose_inhomogeneous(basis, tol=CLOSURE_TOL):

@@ -48,8 +48,9 @@ def to_affine(superop):
                       GENERATOR_TRACE_TOL):
         raise ValueError("population not conserved: trace functional is not a left null vector")
     r, e, mixed = _extraction_maps(dim)
-    a = np.real(r @ superop @ e)
-    b = np.real(r @ superop @ mixed)
+    rl = r @ superop
+    a = np.real(rl @ e)
+    b = np.real(rl @ mixed)
     return AffineGenerator(a=a, b=b)
 
 

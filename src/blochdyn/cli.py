@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 physics/feasibility error.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ from .algebra import affine_generator_set, decompose_inhomogeneous, hamiltonian_
 from .config import load_config, template_names, template_text
 from .dynamics import propagate, semigroup_spectrum, steady_state, steady_state_sweep
 from .errors import ConfigError, NonUniqueEquilibriumError, PhysicsError
-from .liouville import build_dissipator, commutator_superop, support_overlap, total_generator
+from .liouville import generator_pieces, support_overlap
 from .tolerances import PROPAGATION_TOL
 
 
@@ -79,14 +78,12 @@ def cmd_simulate(cfg, out, sample_dt=None, tol=PROPAGATION_TOL):
 def analyze_report(cfg):
     """Structural analysis of the configured system as a plain dict."""
     sys_, spec = cfg.system, cfg.dissipation
-    control_superops = [commutator_superop(h, sys_.hbar) for h in sys_.controls]
-    overlap = []
-    if control_superops:
-        overlap = support_overlap(control_superops, build_dissipator(spec))
+    pieces = generator_pieces(sys_, spec)
+    overlap = support_overlap(pieces[1:-1], pieces[-1])
     ham = hamiltonian_algebra(sys_)
     closure = lie_closure(affine_generator_set(sys_, spec))
     hom_dim, trans_dim = decompose_inhomogeneous(closure)
-    spectrum = semigroup_spectrum(total_generator(sys_, spec, np.zeros(sys_.n_controls)))
+    spectrum = semigroup_spectrum(pieces[0] + pieces[-1])
     report = {
         "levels": sys_.dim,
         "n_controls": sys_.n_controls,
@@ -203,14 +200,8 @@ def cmd_template(name, out=None):
 
 
 def _simulate_tol(flag):
-    """--tol, else BLOCHDYN_TOL, else PROPAGATION_TOL; positive and finite."""
-    tol = flag
-    if tol is None:
-        raw = os.environ.get("BLOCHDYN_TOL")
-        try:
-            tol = PROPAGATION_TOL if raw is None else float(raw)
-        except ValueError:
-            raise ConfigError("BLOCHDYN_TOL is not a number: %r" % raw)
+    """--tol, else PROPAGATION_TOL; positive and finite."""
+    tol = PROPAGATION_TOL if flag is None else flag
     if not 0.0 < tol < float("inf"):
         raise ConfigError("tolerance must be positive and finite, got %g" % tol)
     return tol

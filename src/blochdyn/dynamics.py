@@ -1,10 +1,13 @@
 """Semigroup evolution, spectra and attractors.
 
-States are stepped as real coordinates u = (v, tr rho) under the affine
-generator G(f) = [[A(f), b(f)], [0, 0]]: piecewise fields exactly, by exp(G dt)
-factors reused across each segment's sample grid, sampled fields by a
-classical fixed-step fourth-order integrator. Both routes enforce forward
-time, and all samples pass one validity check.
+Propagation, steady states and sweeps all read the affine images of the
+generator pieces (L0, L_m, L_D) from algebra.affine_generator_set, and
+weight them by (1, f_1..f_M, 1) into G(f) = [[A(f), b(f)], [0, 0]].
+
+States are stepped as real coordinates u = (v, tr rho) under G(f): piecewise
+fields exactly, by exp(G dt) factors reused across each segment's sample
+grid, sampled fields by a classical fixed-step fourth-order integrator. Both
+routes enforce forward time, and all samples pass one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -16,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import affine_embed
-from .bloch import AffineGenerator, to_affine
+from .algebra import affine_generator_set
+from .bloch import AffineGenerator
 from .errors import NonUniqueEquilibriumError, SemigroupDomainError
-from .liouville import commutator_superop, total_generator, vectorize
+from .liouville import _combine, generator_pieces, vectorize
 from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
 from .tolerances import (DEGENERATE_CONIC_TOL, GRID_REMAINDER_FRACTION, GRID_STEP_SLACK,
-                         PROPAGATION_TOL, SINGULAR_RATIO, SPECTRUM_TOL, overruns)
+                         PROPAGATION_TOL, SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL,
+                         exceeds_scaled, overruns)
 
 
 def expm(m, t=1.0):
@@ -87,27 +91,12 @@ def _effective_segments(field, duration):
     return segs
 
 
-def default_sample_dt(generators, total_duration, target=0.1):
-    """Largest dt with norm(L) dt <= target across the given generators."""
+def default_sample_dt(generators, total_duration):
+    """Largest dt with norm(L) dt <= SAMPLE_STEP_NORM across the given generators."""
     worst = max((float(np.linalg.norm(g)) for g in generators), default=0.0)
     if worst == 0.0:
         return total_duration
-    return min(total_duration, target / worst)
-
-
-def _affine_parts(sys, spec):
-    """Drift (H0 plus dissipator) and per-control [[A, b], [0, 0]], stacked in that order."""
-    parts = [to_affine(total_generator(sys, spec, np.zeros(sys.n_controls)))]
-    parts += [to_affine(commutator_superop(h, sys.hbar)) for h in sys.controls]
-    return np.array([affine_embed(p) for p in parts])
-
-
-def _generator_at(parts, f):
-    """G(f) = parts[0] + sum_m f_m parts[m + 1] for constant amplitudes f."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if f.size != len(parts) - 1:
-        raise ValueError("expected %d field amplitudes, got %d" % (len(parts) - 1, f.size))
-    return (np.concatenate(([1.0], f)) @ parts.reshape(len(parts), -1)).reshape(parts.shape[1:])
+    return min(total_duration, SAMPLE_STEP_NORM / worst)
 
 
 def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
@@ -129,19 +118,20 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
         raise ValueError("system, dissipation and state dimensions differ")
     segs = _effective_segments(field, duration)
-    parts = _affine_parts(sys, spec)
     if sample_dt is None:
-        sample_dt = default_sample_dt([total_generator(sys, spec, v) for _, v in segs],
+        pieces = np.array(generator_pieces(sys, spec))
+        sample_dt = default_sample_dt([_combine(pieces, v) for _, v in segs],
                                       sum(d for d, _ in segs) or 1.0)
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
 
+    gens = np.array(affine_generator_set(sys, spec))
     u = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)), np.trace(rho0).real)
     times = [0.0]
     us = [u]
     t0 = 0.0
     for dur, values in segs:
-        gen = _generator_at(parts, values)
+        gen = _combine(gens, values)
         if field.kind == "piecewise":
             # uniform grid reusing one step operator; a remainder shorter
             # than dt is folded into a final sample at the exact segment end
@@ -193,7 +183,6 @@ class SpectrumReport:
     max_real_part: float
     forward_bounded: bool
     zero_modes: int
-    tol: float
 
     @property
     def unbounded(self):
@@ -201,13 +190,14 @@ class SpectrumReport:
         return not self.forward_bounded
 
 
-def semigroup_spectrum(gen, tol=SPECTRUM_TOL):
+def semigroup_spectrum(gen):
     """Spectrum of a Liouville or affine generator with stability flags.
 
-    forward_bounded means every real part is <= tol: exp(gen t) stays
-    bounded for all t >= 0 but generally blows up for t < 0, which is what
-    restricts the dynamics to a one-parameter semigroup. zero_modes counts
-    steady-state candidates.
+    forward_bounded means no real part exceeds SPECTRUM_TOL * max(1, max|gen|):
+    exp(gen t) stays bounded for all t >= 0 but generally blows up for t < 0,
+    which is what restricts the dynamics to a one-parameter semigroup.
+    zero_modes counts steady-state candidates, the eigenvalues whose modulus
+    is within that same scaled tolerance of zero.
     """
     if isinstance(gen, AffineGenerator):
         mat = gen.a
@@ -217,12 +207,12 @@ def semigroup_spectrum(gen, tol=SPECTRUM_TOL):
     order = np.lexsort((eig.imag, -eig.real))
     eig = eig[order]
     max_real = float(np.max(eig.real))
+    scale = float(np.max(np.abs(mat)))
     return SpectrumReport(
         eigenvalues=eig,
         max_real_part=max_real,
-        forward_bounded=max_real <= tol,
-        zero_modes=int(np.sum(np.abs(eig) <= tol)),
-        tol=tol,
+        forward_bounded=not exceeds_scaled(max_real, scale, SPECTRUM_TOL),
+        zero_modes=int(np.sum(~exceeds_scaled(np.abs(eig), scale, SPECTRUM_TOL))),
     )
 
 
@@ -235,7 +225,7 @@ def steady_state(sys, spec, f):
     """
     if not np.all(np.isfinite(f)):
         raise ValueError("field amplitudes must be finite")
-    v, singular = _fixed_points(_generator_at(_affine_parts(sys, spec), f)[None])
+    v, singular = _fixed_points(_combine(affine_generator_set(sys, spec), f)[None])
     if singular is not None:
         null_dim = singular[1]
         raise NonUniqueEquilibriumError(
@@ -308,7 +298,8 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
         raise ValueError("need at least 6 amplitudes for a conic fit")
     if not 0 <= control_index < sys.n_controls:
         raise ValueError("control index %d out of range" % control_index)
-    drift, control = _affine_parts(sys, spec)[[0, control_index + 1]]
+    gens = affine_generator_set(sys, spec)
+    drift, control = gens[0] + gens[-1], gens[control_index + 1]
     points, singular = _fixed_points(drift + amplitudes[:, None, None] * control)
     if singular is not None:
         k, null_dim = singular

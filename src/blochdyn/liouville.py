@@ -3,9 +3,10 @@
 Density matrices are row-stacked into vectors, vec(rho) = (rho_11, rho_12,
 ..., rho_1N, rho_21, ..., rho_NN), and generators become N^2 x N^2 matrices
 acting on vec(rho). The module assembles the commutator part (1/i hbar)[H, .],
-the dephasing/relaxation dissipator, and the explicit two-level matrices in
-the same convention, and checks the structural disjointness of control and
-dissipator supports.
+the dephasing/relaxation dissipator, the stack of pieces (L0, L_m, L_D) from
+which every other module reads the controlled generator, and the explicit
+two-level matrices in the same convention, and checks the structural
+disjointness of control and dissipator supports.
 """
 
 import numpy as np
@@ -105,16 +106,37 @@ def qubit_superoperators(sys, spec):
     return l0, l1, l2, ld
 
 
-def total_generator(sys, spec, f):
-    """(1/i hbar)(L0 + sum_m f_m L_m) + LD for a constant amplitude vector."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if f.size != sys.n_controls:
-        raise ValueError(
-            "expected %d field amplitudes, got %d" % (sys.n_controls, f.size)
-        )
+def generator_pieces(sys, spec):
+    """The list [L0, L_1..L_M, L_D] of N^2 x N^2 generator pieces.
+
+    L0 and L_m are the commutator superoperators (1/i hbar)[H0, .] and
+    (1/i hbar)[H_m, .], L_D is the dissipator, so that the generator at
+    constant amplitudes f is L(f) = L0 + sum_m f_m L_m + L_D.
+    """
     if sys.dim != spec.dim:
         raise ValueError("system and dissipation dimensions differ")
-    return commutator_superop(sys.hamiltonian(f), sys.hbar) + build_dissipator(spec)
+    pieces = [commutator_superop(h, sys.hbar) for h in (sys.h0,) + sys.controls]
+    return pieces + [build_dissipator(spec)]
+
+
+def _combine(pieces, f):
+    """pieces[0] + sum_m f_m pieces[m] + pieces[-1] for a stack of M + 2 pieces.
+
+    Serves the complex pieces and their real affine embeddings alike.
+    """
+    pieces = np.asarray(pieces)
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    if f.size != len(pieces) - 2:
+        raise ValueError("expected %d field amplitudes, got %d" % (len(pieces) - 2, f.size))
+    weights = np.concatenate(([1.0], f, [1.0]))
+    return (weights @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
+
+
+def total_generator(sys, spec, f):
+    """L(f) = L0 + sum_m f_m L_m + L_D from generator_pieces, for constant amplitudes f."""
+    if not np.all(np.isfinite(f)):
+        raise ValueError("field amplitudes must be finite")
+    return _combine(generator_pieces(sys, spec), f)
 
 
 def trace_residual(superop):
@@ -129,21 +151,21 @@ def trace_residual(superop):
     return float(np.max(np.abs(tr_row @ superop)))
 
 
-def support_overlap(controls, dissipator, threshold=0.0):
+def support_overlap(controls, dissipator):
     """Index pairs where control generators and the dissipator both live.
 
     Returns the sorted tuple of (row, col) positions at which some control
-    superoperator and the dissipator both exceed threshold in magnitude. An
-    empty result certifies that no choice of field amplitudes can cancel the
-    dissipator entrywise: the two act on disjoint matrix elements.
+    superoperator and the dissipator are both nonzero. An empty result
+    certifies that no choice of field amplitudes can cancel the dissipator
+    entrywise: the two act on disjoint matrix elements.
     """
     dissipator = np.asarray(dissipator, dtype=complex)
-    dmask = np.abs(dissipator) > threshold
+    dmask = dissipator != 0
     cmask = np.zeros_like(dmask)
     for c in controls:
         c = np.asarray(c, dtype=complex)
         if c.shape != dissipator.shape:
             raise ValueError("control and dissipator dimensions differ")
-        cmask |= np.abs(c) > threshold
+        cmask |= c != 0
     rows, cols = np.nonzero(dmask & cmask)
     return tuple(sorted(zip(rows.tolist(), cols.tolist())))

@@ -53,18 +53,6 @@ class ControlSystem:
     def n_controls(self):
         return len(self.controls)
 
-    def hamiltonian(self, f):
-        """H0 + sum_m f_m H_m for a concrete amplitude vector f."""
-        f = np.atleast_1d(np.asarray(f, dtype=float))
-        if f.size != self.n_controls:
-            raise ValueError(
-                "expected %d field amplitudes, got %d" % (self.n_controls, f.size)
-            )
-        h = self.h0.astype(complex).copy()
-        for fm, hm in zip(f, self.controls):
-            h += fm * hm
-        return h
-
 
 @dataclass(frozen=True)
 class DissipationSpec:

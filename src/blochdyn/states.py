@@ -163,7 +163,7 @@ def to_coherence_vector(rho):
     return CoherenceVector(bloch=bloch, trace_part=float(np.real(np.trace(rho))))
 
 
-def from_coherence_vector(v, tol=VALIDITY_TOL):
+def from_coherence_vector(v):
     """Reassemble the density matrix rho = (s/N) I + (1/2) sum_a v_a g_a.
 
     Raises UnphysicalStateError when the coordinates do not describe a
@@ -174,7 +174,7 @@ def from_coherence_vector(v, tol=VALIDITY_TOL):
         raise ValueError("coherence vector has non-finite coordinates")
     rho = density_from_coordinates(np.append(v.bloch, v.trace_part), v.dim)
     mineig = float(np.linalg.eigvalsh(rho)[0])
-    if mineig < -tol:
+    if mineig < -VALIDITY_TOL:
         raise UnphysicalStateError(
             "unphysical state: coherence vector gives min eigenvalue %.3g"
             % mineig,

@@ -26,6 +26,8 @@ SINGULAR_RATIO = 1e-12
 # second singular value of the sweep points (absolute, and relative to the
 # first) at or below which the points are collinear and the conic degenerate
 DEGENERATE_CONIC_TOL = 1e-12
+# default sample_dt keeps norm(L) * dt at or below this for every segment
+SAMPLE_STEP_NORM = 0.1
 # slack on dur/dt when counting sample steps in a segment, so that rounding
 # just off an integer neither adds nor drops a step
 GRID_STEP_SLACK = 1e-12

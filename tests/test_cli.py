@@ -274,6 +274,26 @@ def test_analyze_report_content(tmp_path, capsys):
     assert report["steady_state"]["bloch"][2] == pytest.approx(zstar)
 
 
+def test_analyze_counts_the_zero_mode_at_any_rate_scale(tmp_path, capsys):
+    # energies, moments and rates of order 1e6 leave the zero eigenvalue at
+    # ~1e-11, which is zero relative to the generator's entries
+    doc = json.loads(template_text("three_level_ladder"))
+    doc["system"]["energies"] = [1e6 * e for e in doc["system"]["energies"]]
+    for dipole in doc["system"]["dipoles"]:
+        dipole["moment"] *= 1e6
+    doc["dissipation"] = {
+        "dephasing": (1e6 * np.array([[0, .3, .3], [.3, 0, .4], [.3, .4, 0]])).tolist(),
+        "relaxation": (1e6 * np.array([[0, .2, .05], [.01, 0, .3], [.02, .04, 0]])).tolist(),
+    }
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--config", cfg_path, "--out", str(out)]) == 0
+    assert "forward bounded: yes, zero modes: 1\n" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["spectrum"]["zero_modes"] == 1
+    assert report["equilibrium_note"] == "unique"
+
+
 def test_analyze_stdout_mentions_key_facts(tmp_path, capsys):
     cfg_path = write_config(tmp_path, make_doc())
     assert main(["analyze", "--config", cfg_path]) == 0
@@ -355,24 +375,9 @@ def test_exit_codes(tmp_path, capsys):
     assert "physics error" in err
 
 
-def test_tolerance_env_var(tmp_path, capsys, monkeypatch):
-    cfg_path = write_config(tmp_path, make_doc())
-    monkeypatch.setenv("BLOCHDYN_TOL", "not-a-number")
-    assert main(["simulate", "--config", cfg_path,
-                 "--out", str(tmp_path / "z.csv")]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("BLOCHDYN_TOL", "1e-6")
-    assert main(["simulate", "--config", cfg_path,
-                 "--out", str(tmp_path / "w.csv")]) == 0
-
-
-def test_tolerance_read_by_simulate_only(tmp_path, capsys, monkeypatch):
+def test_tolerance_read_by_simulate_only(tmp_path, capsys):
     doc = make_doc(sweep={"control": 0, "amplitudes": [-2, -1, 0, 1, 2, 3]})
     cfg_path = write_config(tmp_path, doc)
-    monkeypatch.setenv("BLOCHDYN_TOL", "abc")
-    assert main(["analyze", "--config", cfg_path]) == 0
-    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "s.csv")]) == 0
-    capsys.readouterr()
     for command in ("analyze", "sweep"):
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg_path, "--out", str(tmp_path / "t"), "--tol", "1e-6"])
@@ -384,13 +389,10 @@ def test_tolerance_read_by_simulate_only(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
-def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, value):
+def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, value):
     cfg_path = write_config(tmp_path, make_doc())
     out = tmp_path / "x.csv"
     assert main(["simulate", "--config", cfg_path, "--out", str(out), "--tol", value]) == 2
-    assert "config error" in capsys.readouterr().err
-    monkeypatch.setenv("BLOCHDYN_TOL", value)
-    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
 

@@ -279,6 +279,24 @@ def test_negated_dissipator_flagged_unbounded():
     assert report.max_real_part == pytest.approx(max(BIG_GAMMA, G12 + G21), abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_spectrum_flags_scale_with_the_generator(scale):
+    # a completely positive ladder in units where rates are ~1e6: rounding
+    # leaves the zero mode at |lambda| ~ 1e-11, which is zero at that scale
+    ladder = load_template("three_level_ladder").system
+    sys = ControlSystem(h0=scale * ladder.h0, controls=tuple(scale * h for h in ladder.controls))
+    spec = DissipationSpec(
+        dephasing=scale * np.array([[0, .3, .3], [.3, 0, .4], [.3, .4, 0]]),
+        relaxation=scale * np.array([[0, .2, .05], [.01, 0, .3], [.02, .04, 0]]),
+    )
+    gen = total_generator(sys, spec, (0.0, 0.0))
+    report = semigroup_spectrum(gen)
+    assert report.forward_bounded
+    assert report.zero_modes == 1
+    assert semigroup_spectrum(to_affine(gen)).zero_modes == 0
+    assert semigroup_spectrum(-gen).unbounded
+
+
 def test_spectrum_accepts_affine_generator():
     sys, spec = make_qubit()
     gen = to_affine(total_generator(sys, spec, (0.0, 0.0)))

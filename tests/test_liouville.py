@@ -7,6 +7,7 @@ from blochdyn.liouville import (
     build_dissipator,
     commutator_superop,
     devectorize,
+    generator_pieces,
     qubit_superoperators,
     support_overlap,
     total_generator,
@@ -97,6 +98,21 @@ def test_total_generator_is_weighted_sum():
     gen = total_generator(sys, spec, f)
     combined = (l0 + f[0] * l1 + f[1] * l2) / (1j * sys.hbar) + ld
     assert np.max(np.abs(gen - combined)) < 1e-14
+
+
+def test_generator_pieces_order_and_amplitude_checks():
+    sys, spec = make_qubit()
+    l0, l1, l2, ld = qubit_superoperators(sys, spec)
+    pieces = generator_pieces(sys, spec)
+    expected = [l0 / (1j * sys.hbar), l1 / (1j * sys.hbar), l2 / (1j * sys.hbar), ld]
+    assert len(pieces) == 4
+    assert np.max(np.abs(np.array(pieces) - np.array(expected))) < 1e-15
+    with pytest.raises(ValueError, match="expected 2 field amplitudes, got 1"):
+        total_generator(sys, spec, (0.1,))
+    with pytest.raises(ValueError, match="field amplitudes must be finite"):
+        total_generator(sys, spec, (np.nan, 0.0))
+    with pytest.raises(ValueError, match="dimensions differ"):
+        generator_pieces(sys, DissipationSpec.zero(3))
 
 
 def test_total_generator_hbar():

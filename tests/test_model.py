@@ -27,14 +27,6 @@ def test_qubit_system_requires_ordered_levels():
         qubit_system(1.0, 0.0, d1=1.0, d2=1.0)
 
 
-def test_hamiltonian_combines_drift_and_controls():
-    sys = qubit_system(0.0, 2.0, d1=1.0, d2=0.5)
-    h = sys.hamiltonian([0.3, -0.4])
-    expected = sys.h0 + 0.3 * sys.controls[0] - 0.4 * sys.controls[1]
-    assert np.allclose(h, expected, atol=1e-15)
-    assert np.allclose(h, h.conj().T, atol=1e-15)
-
-
 def test_control_system_rejects_non_hermitian():
     with pytest.raises(ValueError):
         ControlSystem(h0=np.array([[0.0, 1.0], [0.0, 1.0]]), controls=())

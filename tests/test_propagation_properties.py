@@ -1,9 +1,12 @@
-"""Property tests of propagation over random admissible systems, N = 2...4.
+"""Property tests of generator assembly and propagation over random admissible
+systems, N = 2...4.
 
-The reference is an ordered product of scipy.linalg.expm over the complex
-Liouville generator of each segment, independent of the real affine
-coordinates that propagate steps. Examples are derandomized, so every run
-draws the same systems.
+The reference generator L(f) is assembled here from the summed Hamiltonian
+H0 + sum_m f_m H_m, not from the package's stack of pieces (L0, L_m, L_D),
+so a fault in how the pieces are weighted shows. Propagation is checked
+against an ordered product of scipy.linalg.expm over L(f) of each segment,
+independent of the real affine coordinates that propagate steps. Examples
+are derandomized, so every run draws the same systems.
 """
 
 import numpy as np
@@ -11,8 +14,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochdyn.dynamics import propagate
-from blochdyn.liouville import total_generator, vectorize
+from blochdyn.algebra import affine_embed, affine_generator_set
+from blochdyn.bloch import to_affine
+from blochdyn.dynamics import propagate, steady_state
+from blochdyn.liouville import build_dissipator, commutator_superop, vectorize
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec
 
 PROPERTIES = settings(derandomize=True, max_examples=25, deadline=None)
@@ -51,14 +56,47 @@ def random_segments(rng, n_controls):
                  for _ in range(int(rng.integers(1, 5))))
 
 
+def reference_generator(sys, spec, f):
+    """(1/i hbar)[H0 + sum_m f_m H_m, .] + L_D."""
+    h = sys.h0 + sum(fm * hm for fm, hm in zip(f, sys.controls))
+    return commutator_superop(h, sys.hbar) + build_dissipator(spec)
+
+
 def product_of_exponentials(sys, spec, segments, rho0):
     v = vectorize(rho0)
     for dur, values in segments:
-        v = scipy.linalg.expm(total_generator(sys, spec, values) * dur) @ v
+        v = scipy.linalg.expm(reference_generator(sys, spec, values) * dur) @ v
     return v.reshape(rho0.shape)
 
 
 CASES = dict(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+
+
+@PROPERTIES
+@given(**CASES)
+def test_affine_pieces_sum_to_the_affine_image_of_the_generator(dim, seed):
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    f = rng.uniform(-2.0, 2.0, dim - 1)
+    gens = affine_generator_set(sys, spec)
+    assert isinstance(gens, list) and len(gens) == dim + 1
+    combined = gens[0] + sum(fm * g for fm, g in zip(f, gens[1:-1])) + gens[-1]
+    expected = affine_embed(to_affine(reference_generator(sys, spec, f)))
+    assert np.max(np.abs(combined - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@PROPERTIES
+@given(**CASES)
+def test_steady_state_solves_the_reference_affine_flow(dim, seed):
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    f = rng.uniform(-2.0, 2.0, dim - 1)
+    ref = to_affine(reference_generator(sys, spec, f))
+    expected = -np.linalg.solve(ref.a, ref.b)
+    got = steady_state(sys, spec, f).bloch
+    # the two (A, b) agree to rounding, which the solve amplifies by cond(A)
+    bound = 1e-14 * np.linalg.cond(ref.a) * max(1.0, np.max(np.abs(expected)))
+    assert np.max(np.abs(got - expected)) <= bound
 
 
 @PROPERTIES
@@ -80,7 +118,7 @@ def test_rk4_route_matches_product_of_exponentials(dim, seed):
     sys, spec = admissible_system(rng, dim)
     segments, rho0 = random_segments(rng, dim - 1), random_state(rng, dim)
     # steps with h |L| <= 0.05 keep the fourth-order error far below 1e-6
-    scale = max(np.linalg.norm(total_generator(sys, spec, v), 2) for _, v in segments)
+    scale = max(np.linalg.norm(reference_generator(sys, spec, v), 2) for _, v in segments)
     traj = propagate(sys, spec, ControlField(segments=segments, kind="sampled"), rho0,
                      sample_dt=0.05 / scale)
     expected = product_of_exponentials(sys, spec, segments, rho0)
