@@ -4,10 +4,15 @@ Propagation, steady states and sweeps all read the affine images of the
 generator pieces (L0, L_m, L_D) from algebra.affine_generator_set, and
 weight them by (1, f_1..f_M, 1) into G(f) = [[A(f), b(f)], [0, 0]].
 
-States are stepped as real coordinates u = (v, tr rho) under G(f): piecewise
-fields exactly, by exp(G dt) factors reused across each segment's sample
-grid, sampled fields by a classical fixed-step fourth-order integrator. Both
-routes enforce forward time, and all samples pass one validity check.
+States are stepped as real coordinates u = (v, tr rho) under G(f). Piecewise
+fields are stepped exactly: a segment with two or more full sample steps
+forms exp(G dt) once and reuses it across its grid; every other step applies
+the action exp(G t) u directly, as the Taylor polynomial T_m(tG) u of the
+least degree m whose bound theta_m covers t norm(G, 1) (Al-Mohy & Higham),
+or through exp(G t) when m would exceed the length of u. Sampled fields take
+classical fourth-order steps, which under a constant G are exactly T_4(hG) u,
+so both routes share one Taylor kernel. Both enforce forward time, and all
+samples pass one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -26,14 +31,15 @@ from .liouville import _combine, generator_pieces, vectorize
 from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
 from .tolerances import (DEGENERATE_CONIC_TOL, GRID_REMAINDER_FRACTION, GRID_STEP_SLACK,
                          PROPAGATION_TOL, SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL,
-                         exceeds_scaled, overruns)
+                         TAYLOR_THETA, exceeds_scaled, overruns)
 
 
 def expm(m, t=1.0):
     """exp(m t) via scipy.linalg.expm, after finiteness and shape checks.
 
     scipy.linalg is imported on the first call, so that runs which never
-    exponentiate (sampled fields, sweeps, analysis) do not pay its import.
+    form an exponential (sampled fields, short slices, sweeps, analysis) do
+    not pay its import.
     """
     import scipy.linalg
 
@@ -104,8 +110,12 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     """Evolve a state under the dissipative semigroup exp(Lt).
 
     The state is stepped as u = (v, tr rho) under G(f). Piecewise fields are
-    exponentiated exactly per segment and subsampled at sample_dt; sampled
-    fields use fixed fourth-order steps no larger than sample_dt. Zero
+    propagated exactly and sampled on a uniform sample_dt grid per segment:
+    exp(G sample_dt) is formed once when a segment has two or more full
+    steps, and every other step, the remainder at a segment's end included,
+    applies exp(G t) to u by a Taylor polynomial of fixed degree (or forms
+    exp(G t) where that degree would be too high). Sampled fields use fixed
+    fourth-order steps no larger than sample_dt. Zero
     dissipation gives unitary evolution. Every sample is checked for validity;
     the trace must hold to 1e-9 and Hermiticity/positivity to validity_tol,
     which must be positive and finite. The samples are checked together once
@@ -139,23 +149,25 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
             r = dur - m * sample_dt
             if r <= GRID_REMAINDER_FRACTION * sample_dt:
                 r = 0.0
-            if m > 0:
-                p = expm(gen, sample_dt)
-                for k in range(1, m + 1):
-                    u = p @ u
-                    us.append(u)
-                    times.append(t0 + dur if r == 0.0 and k == m else t0 + k * sample_dt)
+            # a step operator used at most twice is applied, not formed
+            norm = np.abs(gen).sum(axis=0).max()
+            p = expm(gen, sample_dt) if m > 1 else None
+            for k in range(1, m + 1):
+                u = _expm_action(gen, sample_dt, u, norm) if p is None else p @ u
+                us.append(u)
+                times.append(t0 + dur if r == 0.0 and k == m else t0 + k * sample_dt)
             if r > 0.0:
-                u = expm(gen, r) @ u
+                u = _expm_action(gen, r, u, norm)
                 us.append(u)
                 times.append(t0 + dur)
         else:
-            # held samples: integrate with the generator frozen per segment,
-            # steps chosen to land exactly on the segment end
+            # held samples: classical RK4 with the generator frozen per
+            # segment, which is T_4(hG) exactly; steps chosen to land on the
+            # segment end
             n = max(1, int(np.ceil(dur / sample_dt - GRID_STEP_SLACK)))
             h = dur / n
             for k in range(1, n + 1):
-                u = _rk4_step(gen, u, h)
+                u = _taylor(gen, h, u, 4)
                 us.append(u)
                 times.append(t0 + dur if k == n else t0 + k * h)
         t0 += dur
@@ -167,12 +179,26 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
                       trace_part=us[:, -1])
 
 
-def _rk4_step(gen, v, h):
-    k1 = gen @ v
-    k2 = gen @ (v + 0.5 * h * k1)
-    k3 = gen @ (v + 0.5 * h * k2)
-    k4 = gen @ (v + h * k3)
-    return v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _taylor(gen, t, u, degree):
+    """T_m(tG) u = sum_{k <= m} (tG)^k u / k! by Horner's rule, m = degree."""
+    v = u
+    for k in range(degree, 0, -1):
+        v = u + (t / k) * (gen @ v)
+    return v
+
+
+def _expm_action(gen, t, u, norm):
+    """exp(G t) u for norm = norm(G, 1), to unit roundoff.
+
+    Takes the least degree m with TAYLOR_THETA[m] >= t norm, without
+    scaling. Past the table, or when m exceeds len(u) so that m matvecs
+    cost more than forming the exponential, exp(G t) is formed instead.
+    """
+    x = t * norm
+    degree = next((m for m, theta in TAYLOR_THETA.items() if theta >= x), None)
+    if degree is None or degree > u.size:
+        return expm(gen, t) @ u
+    return _taylor(gen, t, u, degree)
 
 
 @dataclass(frozen=True)

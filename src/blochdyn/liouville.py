@@ -115,8 +115,15 @@ def generator_pieces(sys, spec):
     """
     if sys.dim != spec.dim:
         raise ValueError("system and dissipation dimensions differ")
-    pieces = [commutator_superop(h, sys.hbar) for h in (sys.h0,) + sys.controls]
-    return pieces + [build_dissipator(spec)]
+    # finite entries can still overflow in a commutator (H0 = diag(1e308,
+    # -1e308)); that is reported here once rather than as warnings and NaN
+    # states downstream
+    with np.errstate(over="ignore", invalid="ignore"):
+        pieces = [commutator_superop(h, sys.hbar) for h in (sys.h0,) + sys.controls]
+        pieces.append(build_dissipator(spec))
+    if not all(np.isfinite(p).all() for p in pieces):
+        raise ValueError("generator pieces overflow: Hamiltonian or rates too large")
+    return pieces
 
 
 def _combine(pieces, f):

@@ -36,6 +36,21 @@ GRID_REMAINDER_FRACTION = 1e-9
 # relative and absolute slack for a duration that overruns the field program
 DURATION_REL_SLACK = 1e-12
 DURATION_ABS_SLACK = 1e-15
+# degree m -> theta_m: the Taylor polynomial T_m(X) has backward error at most
+# 2^-53 (unit roundoff) in exp(X) when norm(X, 1) <= theta_m. Al-Mohy & Higham,
+# "Computing the action of the matrix exponential", SIAM J. Sci. Comput. 33,
+# 488-511 (2011), Table 3.1 (double precision) gives m = 5, 10, ..., 55; the
+# other m <= 30, and three digits up to m = 30, are values of the same bound
+# as shipped with scipy.sparse.linalg.expm_multiply
+TAYLOR_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
 
 
 def exceeds_scaled(deviation, magnitude, tol=HERMITICITY_TOL):

@@ -230,12 +230,15 @@ def test_importing_the_cli_loads_neither_scipy_nor_jsonschema():
     assert _heavy_imports_after([]) == set()
 
 
+# scipy is loaded only when some segment forms exp(G dt); steps that apply
+# it by the Taylor kernel, RK4 steps included, need numpy alone
 @pytest.mark.parametrize("command, template, expected", [
     ("template", "driven_qubit", set()),
     ("analyze", "driven_qubit", {"jsonschema"}),
     ("sweep", "driven_qubit", {"jsonschema"}),
-    ("simulate", "quasi_spin_qubit", {"jsonschema"}),  # sampled field: RK4, no expm
-    ("simulate", "driven_qubit", {"jsonschema", "scipy.linalg"}),  # piecewise: exact route
+    ("simulate", "quasi_spin_qubit", {"jsonschema"}),  # sampled field: Taylor kernel only
+    # piecewise segments of 100 sample steps form exp(G dt) once each
+    ("simulate", "driven_qubit", {"jsonschema", "scipy.linalg"}),
 ])
 def test_scipy_loaded_only_by_exact_route(tmp_path, command, template, expected):
     if command == "template":

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from blochdyn import dynamics
 from blochdyn.bloch import ball_containment, to_affine
 from blochdyn.config import load_template
 from blochdyn.dynamics import (
     Trajectory,
+    _taylor,
     default_sample_dt,
     expm,
     propagate,
@@ -26,9 +28,11 @@ from blochdyn.errors import (
     SemigroupDomainError,
     UnphysicalStateError,
 )
-from blochdyn.liouville import build_dissipator, total_generator, vectorize
+from blochdyn.liouville import build_dissipator, generator_pieces, total_generator, vectorize
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
 from blochdyn.states import from_pure, to_coherence_vector
+from blochdyn.tolerances import TAYLOR_THETA
+from test_propagation_properties import admissible_system
 
 OMEGA = 1.4
 BIG_GAMMA = 0.3
@@ -186,6 +190,97 @@ def test_default_sample_dt_scales_with_generator_norm():
     small = default_sample_dt([total_generator(sys, spec, (0.0, 0.0))], 10.0)
     big = default_sample_dt([10.0 * total_generator(sys, spec, (0.0, 0.0))], 10.0)
     assert small > big > 0
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "sampled"])
+def test_overflowing_generator_is_a_value_error(kind):
+    # finite energies whose commutator overflows are a fault of the input,
+    # reported before any step, not an unphysical state at the first sample
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sys = ControlSystem(h0=np.diag([1e308, -1e308]).astype(complex), controls=(sx,))
+    field = ControlField(segments=((1.0, (0.1,)),), kind=kind)
+    with pytest.raises(ValueError, match="overflow"):
+        propagate(sys, DissipationSpec.zero(2), field, from_pure([1, 0]), sample_dt=0.1)
+
+
+def test_degree_four_taylor_step_is_the_classical_rk4_step():
+    rng = np.random.default_rng(44)
+    for n in (4, 9, 16, 25):
+        gen = rng.standard_normal((n, n))
+        u = rng.standard_normal(n)
+        h = 0.3 / np.linalg.norm(gen, 2)
+        k1 = gen @ u
+        k2 = gen @ (u + 0.5 * h * k1)
+        k3 = gen @ (u + 0.5 * h * k2)
+        k4 = gen @ (u + h * k3)
+        rk4 = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.linalg.norm(_taylor(gen, h, u, 4) - rk4) <= 1e-15 * np.linalg.norm(rk4)
+
+
+def test_taylor_degree_is_the_least_whose_bound_covers_the_step(monkeypatch):
+    rng = np.random.default_rng(5)
+    gen = rng.standard_normal((64, 64))
+    norm = np.abs(gen).sum(axis=0).max()
+    u = rng.standard_normal(64)
+    degrees = []
+    monkeypatch.setattr(dynamics, "_taylor", lambda g, t, v, m: degrees.append(m) or v)
+    bounds = sorted(TAYLOR_THETA.items())
+    expected = []
+    for (m, theta), (above, _) in zip(bounds, bounds[1:]):
+        dynamics._expm_action(gen, theta * (1 - 1e-9) / norm, u, norm)
+        dynamics._expm_action(gen, theta * (1 + 1e-9) / norm, u, norm)
+        expected += [m, above]
+    assert degrees == expected
+
+
+def counting_expm(monkeypatch):
+    calls = []
+
+    def counted(m, t=1.0):
+        calls.append(t)
+        return expm(m, t)
+
+    monkeypatch.setattr(dynamics, "expm", counted)
+    return calls
+
+
+def test_short_slices_apply_the_exponential_without_forming_it(monkeypatch):
+    # 200 slices of 0.6 to 1.4 sample steps at N = 8: every step is the
+    # Taylor action, so a silent fallback to forming exp(G t) shows here
+    rng = np.random.default_rng(8)
+    sys, spec = admissible_system(rng, 8)
+    values = rng.uniform(-1.0, 1.0, (200, 7))
+    pieces = generator_pieces(sys, spec)
+    gens = [pieces[0] + sum(fm * p for fm, p in zip(f, pieces[1:-1])) + pieces[-1]
+            for f in values]
+    dt = 0.05 / max(np.linalg.norm(g, 1) for g in gens)
+    durs = dt * rng.uniform(0.6, 1.4, 200)
+    segs = tuple(zip(durs, values))
+    rho0 = from_pure(np.ones(8) / np.sqrt(8))
+    calls = counting_expm(monkeypatch)
+    traj = propagate(sys, spec, ControlField(segments=segs), rho0, sample_dt=dt)
+    assert calls == []
+    # the ordered product over the first 20 slices; more only costs time
+    v = vectorize(rho0)
+    for dur, g in zip(durs[:20], gens):
+        v = scipy.linalg.expm(g * dur) @ v
+    k = np.argmin(np.abs(traj.times - np.cumsum(durs)[19]))
+    assert np.max(np.abs(traj.rho[k] - v.reshape(8, 8))) <= 1e-12
+
+
+@pytest.mark.parametrize("scale, dur", [
+    (1e6, 1e-3),  # t norm(G, 1) far past the last Taylor bound
+    (1.0, 0.5),  # within the bounds, but the degree exceeds len(u) = 4
+])
+def test_steps_past_the_taylor_bounds_form_the_exponential(monkeypatch, scale, dur):
+    sys, spec = make_qubit(BIG_GAMMA * scale, G12 * scale, G21 * scale)
+    f = (0.4, -0.3)
+    calls = counting_expm(monkeypatch)
+    traj = propagate(sys, spec, ControlField(segments=((dur, f),)), from_pure([1, 1]),
+                     sample_dt=1.0)
+    assert calls == [dur]
+    expected = scipy.linalg.expm(total_generator(sys, spec, f) * dur) @ vectorize(from_pure([1, 1]))
+    assert np.max(np.abs(traj.rho[-1] - expected.reshape(2, 2))) <= 1e-12
 
 
 def test_unitary_rabi_flop():

@@ -112,6 +112,25 @@ def test_exact_route_matches_product_of_exponentials(dim, seed):
 
 
 @PROPERTIES
+@given(**CASES, log_reach=st.floats(-4.0, 1.0))
+def test_short_slices_match_product_of_exponentials(dim, seed, log_reach):
+    # slices of 0.3 to 2.2 sample steps, with dt norm(G, 1) from 1e-4 to 10:
+    # every Taylor degree, the fallback to exp(G t) past the degree cap, and
+    # segments with two full steps that form exp(G dt) once
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    values = rng.uniform(-1.0, 1.0, (int(rng.integers(20, 61)), dim - 1))
+    norm = max(np.abs(affine_embed(to_affine(reference_generator(sys, spec, v)))).sum(axis=0).max()
+               for v in values)
+    dt = 10.0 ** log_reach / norm
+    segments = tuple((float(dt * rng.uniform(0.3, 2.2)), v) for v in values)
+    rho0 = random_state(rng, dim)
+    traj = propagate(sys, spec, ControlField(segments=segments), rho0, sample_dt=dt)
+    expected = product_of_exponentials(sys, spec, segments, rho0)
+    assert np.max(np.abs(traj.rho[-1] - expected)) <= 1e-12
+
+
+@PROPERTIES
 @given(**CASES)
 def test_rk4_route_matches_product_of_exponentials(dim, seed):
     rng = np.random.default_rng(seed)
