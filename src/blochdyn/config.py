@@ -4,6 +4,14 @@ A configuration file is a single JSON document validated against the schema
 shipped as config_schema.json, then lowered onto the model types. Complex
 numbers are [re, im] pairs, matrices row-major nested arrays, and all level
 and control indices 0-based.
+
+The schema file is the one source of truth, read by a small walker that
+implements the draft-07 keywords it uses: type, required, properties,
+additionalProperties (false), items, minItems/maxItems,
+minProperties/maxProperties, enum, minimum, exclusiveMinimum and $ref into
+#/definitions. description and default are annotations. As in draft-07, a
+bool is not a number and 2.0 is an integer; integer fields are converted
+with int() once the document is valid.
 """
 
 import json
@@ -12,7 +20,9 @@ from importlib import resources
 
 import numpy as np
 
+from .algebra import affine_generator_set
 from .errors import ConfigError
+from .liouville import _first_overflow
 from .model import ControlField, ControlSystem, DissipationSpec, dipole_coupling
 from .states import CoherenceVector, check_density, from_coherence_vector, from_pure
 from .tolerances import overruns
@@ -23,6 +33,63 @@ DEFAULT_OUTPUTS = ("bloch", "purity")
 def _schema():
     text = resources.files("blochdyn").joinpath("config_schema.json").read_text()
     return json.loads(text)
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": _is_number,
+    "integer": lambda x: _is_number(x) and (isinstance(x, int) or x.is_integer()),
+}
+
+
+def _schema_errors(node, schema, root, path=()):
+    """Yield (path, message) for each way node breaks schema.
+
+    root holds the definitions that "$ref" names. A node of the wrong type
+    is not checked further.
+    """
+    if "$ref" in schema:
+        # draft-07: a $ref replaces its sibling keywords
+        schema = root["definitions"][schema["$ref"][len("#/definitions/"):]]
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](node):
+        yield path, "%r is not of type %r" % (node, kind)
+        return
+    if "enum" in schema and node not in schema["enum"]:
+        yield path, "%r is not one of %r" % (node, schema["enum"])
+    if _is_number(node):
+        if "minimum" in schema and node < schema["minimum"]:
+            yield path, "%r is less than the minimum of %r" % (node, schema["minimum"])
+        if "exclusiveMinimum" in schema and node <= schema["exclusiveMinimum"]:
+            yield path, "%r is not greater than %r" % (node, schema["exclusiveMinimum"])
+    elif isinstance(node, (list, dict)):
+        low, high = ("minItems", "maxItems") if isinstance(node, list) else (
+            "minProperties", "maxProperties")
+        if low in schema and len(node) < schema[low]:
+            yield path, "has %d entries, expected at least %d" % (len(node), schema[low])
+        if high in schema and len(node) > schema[high]:
+            yield path, "has %d entries, expected at most %d" % (len(node), schema[high])
+    if isinstance(node, list) and "items" in schema:
+        for i, item in enumerate(node):
+            yield from _schema_errors(item, schema["items"], root, path + (i,))
+    elif isinstance(node, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in node:
+                yield path, "%r is a required property" % key
+        extra = [key for key in node if key not in props]
+        if extra and schema.get("additionalProperties") is False:
+            yield path, "unexpected propert%s %s" % (
+                "y" if len(extra) == 1 else "ies", ", ".join(map(repr, extra)))
+        for key, value in node.items():
+            if key in props:
+                yield from _schema_errors(value, props[key], root, path + (key,))
 
 
 @dataclass(frozen=True)
@@ -72,19 +139,14 @@ def load_config(path):
 
 
 def parse_config(doc):
-    """Lower an already-decoded configuration document."""
-    # imported here, not at the top, so that importing the package or
-    # emitting a template does not pay for the validator
-    import jsonschema
-
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError("config field %s: %s" % (where, exc.message)) from exc
+    """Validate and lower an already-decoded configuration document."""
+    schema = _schema()
+    for path, message in _schema_errors(doc, schema, schema):
+        where = "/".join(map(str, path)) or "(top level)"
+        raise ConfigError("config field %s: %s" % (where, message))
 
     sysdoc = doc["system"]
-    levels = sysdoc["levels"]
+    levels = int(sysdoc["levels"])
     energies = sysdoc["energies"]
     if len(energies) != levels:
         raise ConfigError(
@@ -92,7 +154,7 @@ def parse_config(doc):
         )
     controls = []
     for i, dip in enumerate(sysdoc.get("dipoles", [])):
-        j, k = dip["levels"]
+        j, k = map(int, dip["levels"])
         try:
             controls.append(
                 dipole_coupling(levels, j, k, dip["moment"], dip.get("axis", "x"))
@@ -135,6 +197,15 @@ def parse_config(doc):
             "field segments carry %d amplitudes but the system has %d controls"
             % (field.n_controls, system.n_controls)
         )
+    # finite numbers can still overflow the generator; found here, before
+    # any stepping, and not as warnings and NaN states later
+    try:
+        gens = affine_generator_set(system, spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    k = _first_overflow(gens, [values for _, values in field.segments])
+    if k is not None:
+        raise ConfigError("field.segments[%d]: amplitudes overflow the generator" % k)
 
     rho0 = _initial_state(doc["initial"], levels)
 
@@ -152,7 +223,7 @@ def parse_config(doc):
     sweep_control = None
     sweep_amplitudes = None
     if sweepdoc is not None:
-        sweep_control = sweepdoc["control"]
+        sweep_control = int(sweepdoc["control"])
         if sweep_control >= system.n_controls:
             raise ConfigError(
                 "sweep.control %d out of range for %d controls"

@@ -9,10 +9,13 @@ fields are stepped exactly: a segment with two or more full sample steps
 forms exp(G dt) once and reuses it across its grid; every other step applies
 the action exp(G t) u directly, as the Taylor polynomial T_m(tG) u of the
 least degree m whose bound theta_m covers t norm(G, 1) (Al-Mohy & Higham),
-or through exp(G t) when m would exceed the length of u. Sampled fields take
-classical fourth-order steps, which under a constant G are exactly T_4(hG) u,
-so both routes share one Taylor kernel. Both enforce forward time, and all
-samples pass one validity check.
+or through exp(G t) when m would exceed the length of u. exp(G t) itself is
+formed by scaling and squaring the same Taylor polynomial (Higham 2005, with
+the theta table of Al-Mohy & Higham), so numpy is the only dependency.
+Sampled fields take classical fourth-order steps, which under a constant G
+are exactly T_4(hG) u, so every route shares one Taylor kernel. All enforce
+forward time, reject amplitudes that would overflow G(f) before the first
+step, and pass every sample through one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -27,28 +30,40 @@ import numpy as np
 from .algebra import affine_generator_set
 from .bloch import AffineGenerator
 from .errors import NonUniqueEquilibriumError, SemigroupDomainError
-from .liouville import _combine, generator_pieces, vectorize
+from .liouville import _combine, _first_overflow, generator_pieces, vectorize
 from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
-from .tolerances import (DEGENERATE_CONIC_TOL, GRID_REMAINDER_FRACTION, GRID_STEP_SLACK,
-                         PROPAGATION_TOL, SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL,
-                         TAYLOR_THETA, exceeds_scaled, overruns)
+from .tolerances import (DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE, GRID_REMAINDER_FRACTION,
+                         GRID_STEP_SLACK, PROPAGATION_TOL, SAMPLE_STEP_NORM, SINGULAR_RATIO,
+                         SPECTRUM_TOL, TAYLOR_THETA, exceeds_scaled, overruns)
 
 
 def expm(m, t=1.0):
-    """exp(m t) via scipy.linalg.expm, after finiteness and shape checks.
+    """exp(m t) by scaling and squaring a Taylor polynomial, after finiteness and shape checks.
 
-    scipy.linalg is imported on the first call, so that runs which never
-    form an exponential (sampled fields, short slices, sweeps, analysis) do
-    not pay its import.
+    With X = m t, s is the least integer with norm(X, 1) / 2^s <= theta_18
+    and d the least degree in TAYLOR_THETA whose theta_d covers
+    norm(X, 1) / 2^s; the result is T_d(X / 2^s)^(2^s), the Horner kernel
+    _taylor applied to the identity and then squared s times. theta_d bounds
+    the backward error of T_d by 2^-53 (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488-511, 2011); the scaling and squaring frame is Higham's
+    (SIAM J. Matrix Anal. Appl. 26, 1179-1193, 2005), with a Taylor
+    polynomial in place of the Pade approximant, so numpy alone suffices.
     """
-    import scipy.linalg
-
     m = np.asarray(m)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix exponential of non-finite input")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    return scipy.linalg.expm(m * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = m * t
+        norm = np.abs(x).sum(axis=0).max(initial=0.0)
+    if not np.isfinite(norm):
+        raise ValueError("matrix exponential of non-finite input")
+    theta = TAYLOR_THETA[EXPM_MAX_DEGREE]
+    s = int(np.ceil(np.log2(norm / theta))) if norm > theta else 0
+    degree = next(d for d, bound in TAYLOR_THETA.items() if bound >= norm / 2.0 ** s)
+    e = _taylor(x, 2.0 ** -s, np.eye(len(x)), degree)
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 @dataclass(frozen=True)
@@ -119,7 +134,8 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     dissipation gives unitary evolution. Every sample is checked for validity;
     the trace must hold to 1e-9 and Hermiticity/positivity to validity_tol,
     which must be positive and finite. The samples are checked together once
-    computed; an error names the first failing one.
+    computed; an error names the first failing one. Amplitudes for which
+    G(f) could overflow raise ValueError before the first step.
     """
     if not 0.0 < validity_tol < np.inf:
         raise ValueError("validity_tol must be positive and finite")
@@ -128,6 +144,10 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
         raise ValueError("system, dissipation and state dimensions differ")
     segs = _effective_segments(field, duration)
+    gens = np.array(affine_generator_set(sys, spec))
+    k = _first_overflow(gens, [v for _, v in segs])
+    if k is not None:
+        raise ValueError("segment %d: field amplitudes overflow the generator" % k)
     if sample_dt is None:
         pieces = np.array(generator_pieces(sys, spec))
         sample_dt = default_sample_dt([_combine(pieces, v) for _, v in segs],
@@ -135,7 +155,6 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     if sample_dt <= 0:
         raise ValueError("sample_dt must be positive")
 
-    gens = np.array(affine_generator_set(sys, spec))
     u = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)), np.trace(rho0).real)
     times = [0.0]
     us = [u]

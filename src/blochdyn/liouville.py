@@ -139,6 +139,22 @@ def _combine(pieces, f):
     return (weights @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
 
 
+def _first_overflow(pieces, amplitudes):
+    """Index of the first amplitude row f for which _combine(pieces, f) may overflow, else None.
+
+    Bounds max|_combine(pieces, f)| by sum_k |w_k| max|pieces[k]| with
+    w = (1, f, 1), so that one product per call finds an overflow before
+    any stepping or solve does.
+    """
+    pieces = np.asarray(pieces)
+    scale = np.abs(pieces).reshape(len(pieces), -1).max(axis=1)
+    rows = np.abs(np.asarray(amplitudes, dtype=float).reshape(len(amplitudes), len(pieces) - 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = rows @ scale[1:-1] + (scale[0] + scale[-1])
+    bad = np.flatnonzero(~np.isfinite(bound))
+    return int(bad[0]) if bad.size else None
+
+
 def total_generator(sys, spec, f):
     """L(f) = L0 + sum_m f_m L_m + L_D from generator_pieces, for constant amplitudes f."""
     if not np.all(np.isfinite(f)):

@@ -1,14 +1,18 @@
 """Config parsing and command-line interface tests (in-process, except the import probes)."""
 
+import copy
 import json
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
+from blochdyn import config
 from blochdyn.cli import _write_table, main
 from blochdyn.config import (
+    _schema_errors,
     load_config,
     load_template,
     parse_config,
@@ -16,7 +20,7 @@ from blochdyn.config import (
     template_text,
 )
 from blochdyn.dynamics import propagate
-from blochdyn.errors import ConfigError, UnphysicalStateError
+from blochdyn.errors import ConfigError, PhysicsError, UnphysicalStateError
 
 BASE = {
     "system": {
@@ -123,6 +127,161 @@ def test_parse_coherence_initial_state():
     assert abs(np.trace(cfg.rho0) - 1.0) < 1e-12
 
 
+def _nodes(node, path=()):
+    """(path, value) of every node of a decoded document, the root first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _replaced(doc, path, value=None, drop=False):
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _subschema(schema, path):
+    """The schema that applies at path, following properties, items and $ref."""
+    node = schema
+    for key in path:
+        if "$ref" in node:
+            node = schema["definitions"][node["$ref"].split("/")[-1]]
+        node = node["items"] if isinstance(key, int) else node["properties"][key]
+    if "$ref" in node:
+        node = schema["definitions"][node["$ref"].split("/")[-1]]
+    return node
+
+
+def _mutations(doc, schema):
+    """Documents one edit away from doc, valid or not."""
+    for path, node in list(_nodes(doc)):
+        for bad in ("text", True, None, [[0.5, 1.0]]):
+            yield _replaced(doc, path, bad)
+        if isinstance(node, dict):
+            for key in node:
+                yield _replaced(doc, path + (key,), drop=True)
+            yield _replaced(doc, path + ("unexpected",), 1.0)
+        sub = _subschema(schema, path)
+        for keyword in ("minimum", "exclusiveMinimum"):
+            if keyword in sub:
+                bound = sub[keyword]
+                for value in (bound, float(bound), bound + 0.5, bound - 0.5, bound - 1):
+                    yield _replaced(doc, path, value)
+    initial = doc["initial"]
+    yield _replaced(doc, ("initial",), {})
+    other = "coherence" if "pure" in initial else "pure"
+    yield _replaced(doc, ("initial", other), {"pure": [[1.0, 0.0], [0.0, 0.0]],
+                                              "coherence": {"bloch": [0.0, 0.0, 0.0]}}[other])
+
+
+def _corpus_bases():
+    docs = [json.loads(template_text(name)) for name in template_names()]
+    # every bounded field present at least once
+    extra = copy.deepcopy(docs[0])
+    extra["system"]["hbar"] = 1.0
+    extra["run"]["duration"] = 1.0
+    return docs + [extra]
+
+
+def test_schema_walker_agrees_with_jsonschema():
+    schema = config._schema()
+    validator = jsonschema.Draft7Validator(schema)
+    seen = {True: 0, False: 0}
+    for base in _corpus_bases():
+        assert not list(_schema_errors(base, schema, schema))
+        for doc in _mutations(base, schema):
+            ours = [path for path, _ in _schema_errors(doc, schema, schema)]
+            theirs = {tuple(err.absolute_path) for err in validator.iter_errors(doc)}
+            assert bool(ours) == bool(theirs), (doc, ours, theirs)
+            assert set(ours) <= theirs, (doc, ours, theirs)
+            seen[bool(ours)] += 1
+            # whatever the schema lets through, lowering gives a typed error or a run
+            try:
+                parse_config(doc)
+            except (ConfigError, PhysicsError) as exc:
+                assert not ours or str(exc).startswith("config field ")
+            else:
+                assert not ours
+    assert min(seen.values()) > 50, seen
+
+
+# what the walker implements, and the annotations it ignores
+HANDLED_KEYWORDS = {"type", "required", "properties", "additionalProperties", "items",
+                    "minItems", "maxItems", "minProperties", "maxProperties", "enum",
+                    "minimum", "exclusiveMinimum", "$ref"}
+ANNOTATIONS = {"description", "default", "title", "$schema", "definitions"}
+
+
+def test_schema_uses_only_handled_keywords():
+    schema = config._schema()
+    pending = [schema] + list(schema["definitions"].values())
+    while pending:
+        node = pending.pop()
+        assert set(node) <= HANDLED_KEYWORDS | ANNOTATIONS, set(node) - HANDLED_KEYWORDS
+        assert node.get("type", "object") in config._TYPES
+        assert node.get("additionalProperties", False) is False
+        assert node.get("$ref", "#/definitions/").startswith("#/definitions/")
+        pending += node.get("properties", {}).values()
+        if "items" in node:
+            assert isinstance(node["items"], dict)
+            pending.append(node["items"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
+def test_integral_floats_behave_like_integers(tmp_path, capsys, command):
+    # draft-07 counts 2.0 as an integer, so the schema lets these through
+    doc = json.loads(template_text("three_level_ladder"))
+    floats = copy.deepcopy(doc)
+    floats["system"]["levels"] = 3.0
+    for dipole in floats["system"]["dipoles"]:
+        dipole["levels"] = [float(level) for level in dipole["levels"]]
+    floats["sweep"]["control"] = float(floats["sweep"]["control"])
+    outputs = []
+    for name, d in (("int", doc), ("float", floats)):
+        out = tmp_path / name
+        assert main([command, "--config", write_config(tmp_path, d, name + ".json"),
+                     "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _overflowing_energies(doc):
+    doc["system"]["energies"] = [1e308, -1e308]
+
+
+def _overflowing_amplitude(doc):
+    doc["field"]["segments"][0]["values"][0] = 1.5e308
+
+
+@pytest.mark.parametrize("edit", [_overflowing_energies, _overflowing_amplitude],
+                         ids=["energies", "amplitude"])
+@pytest.mark.parametrize("kind", ["piecewise", "sampled"])
+def test_overflow_is_a_config_error_before_any_step(tmp_path, capsys, edit, kind):
+    # finite numbers whose generator overflows: exit 2 with no traceback or
+    # warning, for every command and either propagation route
+    doc = json.loads(template_text("quasi_spin_qubit"))
+    doc["field"]["kind"] = kind
+    edit(doc)
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "x.out"
+    for command in ("simulate", "analyze", "sweep"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and "overflow" in captured.err
+        assert "Warning" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"system": }')
@@ -209,45 +368,54 @@ def test_simulate_rho_table_matches_per_cell_format(tmp_path):
 
 
 # Runs blochdyn.cli.main(argv) in a fresh interpreter and reports on stderr
-# which of the optional heavy imports it left in sys.modules.
+# which of scipy and jsonschema it left in sys.modules. With "block" as the
+# first argument, a sys.meta_path finder refuses both imports beforehand.
 _IMPORT_PROBE = """
 import sys
+
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("scipy", "jsonschema"):
+            raise ImportError("blocked: " + name)
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, Block())
 import blochdyn.cli
-if sys.argv[1:]:
-    assert blochdyn.cli.main(sys.argv[1:]) == 0
-sys.stderr.write(" ".join(m for m in ("scipy.linalg", "jsonschema") if m in sys.modules))
+if sys.argv[2:]:
+    assert blochdyn.cli.main(sys.argv[2:]) == 0
+sys.stderr.write(" ".join(m for m in ("scipy", "jsonschema") if m in sys.modules))
 """
 
 
-def _heavy_imports_after(argv):
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE] + argv,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+def _probe(argv, block=False):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, "block" if block else "-"] + argv,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
 
 
 def test_importing_the_cli_loads_neither_scipy_nor_jsonschema():
-    assert _heavy_imports_after([]) == set()
+    assert _probe([]).stderr == b""
 
 
-# scipy is loaded only when some segment forms exp(G dt); steps that apply
-# it by the Taylor kernel, RK4 steps included, need numpy alone
-@pytest.mark.parametrize("command, template, expected", [
-    ("template", "driven_qubit", set()),
-    ("analyze", "driven_qubit", {"jsonschema"}),
-    ("sweep", "driven_qubit", {"jsonschema"}),
-    ("simulate", "quasi_spin_qubit", {"jsonschema"}),  # sampled field: Taylor kernel only
-    # piecewise segments of 100 sample steps form exp(G dt) once each
-    ("simulate", "driven_qubit", {"jsonschema", "scipy.linalg"}),
-])
-def test_scipy_loaded_only_by_exact_route(tmp_path, command, template, expected):
-    if command == "template":
-        argv = ["template", template, "--out", str(tmp_path / "t.json")]
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(template_text(template))
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    assert _heavy_imports_after(argv) == expected
+@pytest.mark.parametrize("command, template", [("template", "driven_qubit")] + [
+    (command, name) for name in template_names() for command in ("simulate", "analyze", "sweep")])
+def test_commands_need_neither_scipy_nor_jsonschema(tmp_path, command, template):
+    # an unblocked run loads neither, and a run with both imports refused
+    # writes the same bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(template_text(template))
+    results = []
+    for block in (False, True):
+        out = tmp_path / ("blocked" if block else "free")
+        if command == "template":
+            argv = ["template", template, "--out", str(out)]
+        else:
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+        proc = _probe(argv, block)
+        assert proc.stderr == b""
+        results.append((proc.stdout, out.read_bytes()))
+    assert results[0] == results[1]
 
 
 def test_simulate_sample_dt_flag(tmp_path):

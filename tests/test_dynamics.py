@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 from blochdyn import dynamics
+from blochdyn.algebra import affine_generator_set
 from blochdyn.bloch import ball_containment, to_affine
 from blochdyn.config import load_template
 from blochdyn.dynamics import (
@@ -75,6 +76,40 @@ def test_expm_identity_and_scaling():
 def test_expm_rejects_nonfinite():
     with pytest.raises(ValueError):
         expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        expm(np.eye(2), np.inf)
+
+
+def test_expm_matches_scipy_on_affine_generators():
+    # scaled and squared Taylor against scipy's scaled and squared Pade, over
+    # t norm(G, 1) from 1e-8 to 1e3 on random admissible systems
+    rng = np.random.default_rng(2011)
+    worst = 0.0
+    for n in range(2, 9):
+        for _ in range(3):
+            sys, spec = admissible_system(rng, n)
+            pieces = affine_generator_set(sys, spec)
+            f = rng.uniform(-1.0, 1.0, n - 1)
+            gen = pieces[0] + pieces[-1] + sum(fm * p for fm, p in zip(f, pieces[1:-1]))
+            norm = np.abs(gen).sum(axis=0).max()
+            for x in np.logspace(-8, 3, 12):
+                ref = scipy.linalg.expm(gen * (x / norm))
+                dev = np.max(np.abs(expm(gen, x / norm) - ref)) / np.max(np.abs(ref))
+                worst = max(worst, dev)
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("t", [1e-9, 0.3, 2.0, 40.0, 1e3])
+def test_expm_closed_forms(t):
+    omega = 1.7
+    rotation = expm(np.array([[0.0, -omega], [omega, 0.0]]), t)
+    c, s = np.cos(omega * t), np.sin(omega * t)
+    assert np.max(np.abs(rotation - [[c, -s], [s, c]])) <= 1e-14 * max(1.0, omega * t)
+    rates = np.array([0.05, 0.3, 1.1])
+    decay = expm(np.diag(-rates), t)
+    expected = np.exp(-rates * t)
+    assert np.all(np.abs(np.diag(decay) - expected) <= 1e-14 * expected * max(1.0, rates[-1] * t))
+    assert np.all(decay[~np.eye(3, dtype=bool)] == 0.0)
 
 
 def test_free_decay_matches_closed_form():
@@ -201,6 +236,16 @@ def test_overflowing_generator_is_a_value_error(kind):
     field = ControlField(segments=((1.0, (0.1,)),), kind=kind)
     with pytest.raises(ValueError, match="overflow"):
         propagate(sys, DissipationSpec.zero(2), field, from_pure([1, 0]), sample_dt=0.1)
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "sampled"])
+def test_overflowing_amplitude_is_a_value_error(kind):
+    # finite pieces and a finite amplitude whose weighted sum overflows are
+    # found once, before any step, not as NaN states or warnings
+    sys, spec = make_qubit()
+    field = ControlField(segments=((1.0, (0.1, 0.0)), (1.0, (1.5e308, 0.0))), kind=kind)
+    with pytest.raises(ValueError, match="segment 1: field amplitudes overflow"):
+        propagate(sys, spec, field, from_pure([1, 0]), sample_dt=0.1)
 
 
 def test_degree_four_taylor_step_is_the_classical_rk4_step():
