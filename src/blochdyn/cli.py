@@ -168,7 +168,12 @@ def cmd_sweep(cfg, out, control=None, amplitudes=None):
         raise ConfigError("sweep amplitudes must be finite")
     if not 0 <= int(control) < cfg.system.n_controls:
         raise ConfigError("sweep control index %d out of range" % control)
-    rep = steady_state_sweep(cfg.system, cfg.dissipation, int(control), amplitudes)
+    try:
+        rep = steady_state_sweep(cfg.system, cfg.dissipation, int(control), amplitudes)
+    except ValueError as exc:
+        # past the checks above, the library's only ValueError is an
+        # amplitude that overflows the generator
+        raise ConfigError(str(exc)) from exc
     preamble = [
         "conic fit: kind=%s" % rep.kind,
         "conic coefficients (u^2, uv, v^2, u, v, 1): %s"

@@ -230,6 +230,10 @@ def parse_config(doc):
                 % (sweep_control, system.n_controls)
             )
         sweep_amplitudes = np.asarray(sweepdoc["amplitudes"], dtype=float)
+        k = _first_overflow(
+            gens, sweep_amplitudes[:, None] * np.eye(system.n_controls)[sweep_control])
+        if k is not None:
+            raise ConfigError("sweep.amplitudes[%d]: amplitude overflows the generator" % k)
 
     return RunConfig(
         system=system,

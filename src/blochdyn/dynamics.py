@@ -20,7 +20,11 @@ step, and pass every sample through one validity check.
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
 control sweeps are summarized by a least-squares conic fit in the best-fit
-plane of the attractor points.
+plane of the attractor points. A sweep's A(a) = A_drift + a A_c is linear in
+the amplitude, so the SVD that certifies A(a) non-singular runs only at every
+SWEEP_ANCHOR_STRIDE-th amplitude in sorted order; Weyl's inequality bounds
+how far the singular values move between, and a point that bound leaves
+unproven gets its own SVD, so the verdict equals the per-point rule.
 """
 
 from dataclasses import dataclass
@@ -32,9 +36,10 @@ from .bloch import AffineGenerator
 from .errors import NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import _combine, _first_overflow, generator_pieces, vectorize
 from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
-from .tolerances import (DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE, GRID_REMAINDER_FRACTION,
-                         GRID_STEP_SLACK, PROPAGATION_TOL, SAMPLE_STEP_NORM, SINGULAR_RATIO,
-                         SPECTRUM_TOL, TAYLOR_THETA, exceeds_scaled, overruns)
+from .tolerances import (CONIC_DISCRIMINANT_TOL, DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE,
+                         GRID_REMAINDER_FRACTION, GRID_STEP_SLACK, PROPAGATION_TOL,
+                         SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL, SWEEP_ANCHOR_STRIDE,
+                         SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled, overruns)
 
 
 def expm(m, t=1.0):
@@ -280,19 +285,57 @@ def steady_state(sys, spec, f):
     return CoherenceVector(bloch=v[0], trace_part=1.0)
 
 
-def _fixed_points(gens):
+def _fixed_points(gens, check=None):
     """Solve A_k v_k = -b_k for a stack of [[A_k, b_k], [0, 0]], shape (K, n+1, n+1).
 
     Singular values at or below SINGULAR_RATIO times the largest count as zero.
-    Returns (v, None), or (None, (k, null_dim)) for the first singular A_k.
+    Only the A_k flagged in the boolean mask check (all by default) are
+    decomposed; the caller vouches that the rest pass. Returns (v, None), or
+    (None, (k, null_dim)) for the first singular A_k.
     """
-    s = np.linalg.svd(gens[:, :-1, :-1], compute_uv=False)
-    null_dims = np.sum(s <= SINGULAR_RATIO * s[:, :1], axis=1)
-    singular = np.flatnonzero(null_dims)
-    if singular.size:
-        k = int(singular[0])
-        return None, (k, int(null_dims[k]))
-    return np.linalg.solve(gens[:, :-1, :-1], -gens[:, :-1, -1:])[..., 0], None
+    a = gens[:, :-1, :-1]
+    idx = np.arange(len(a)) if check is None else np.flatnonzero(check)
+    if idx.size:
+        s = np.linalg.svd(a[idx], compute_uv=False)
+        null_dims = np.sum(s <= SINGULAR_RATIO * s[:, :1], axis=1)
+        singular = np.flatnonzero(null_dims)
+        if singular.size:
+            k = singular[0]
+            return None, (int(idx[k]), int(null_dims[k]))
+    return np.linalg.solve(a, -gens[:, :-1, -1:])[..., 0], None
+
+
+def _sweep_fixed_points(drift, control, amplitudes):
+    """_fixed_points(drift + a control) over the amplitudes a, with few SVDs.
+
+    By Weyl's inequality every singular value of A(a) lies within
+    delta = |a - a_j| norm(A_c, 2) of its value at a_j. In (stable) amplitude
+    order, every SWEEP_ANCHOR_STRIDE-th A(a_j) is decomposed in one batch with
+    A_c, and a point passes the rule of _fixed_points when a neighbouring
+    anchor gives sigma_min - delta - r > SINGULAR_RATIO (sigma_max + delta + r),
+    where r = SWEEP_ROUNDING n (sigma_max + (|a| + |a_j|) norm(A_c, 2)) covers
+    rounding. _fixed_points decomposes the points left unproven, so the
+    verdict, the first singular point and its null dimension are those of the
+    per-point rule. A bound that overflows proves nothing.
+    """
+    gens = drift + amplitudes[:, None, None] * control
+    order = np.argsort(amplitudes, kind="stable")
+    a = amplitudes[order]
+    anchors = order[::SWEEP_ANCHOR_STRIDE]
+    s = np.linalg.svd(np.concatenate([control[None, :-1, :-1], gens[anchors, :-1, :-1]]),
+                      compute_uv=False)
+    c_norm, s_max, s_min = s[0, 0], s[1:, 0], s[1:, -1]
+    left = np.arange(a.size) // SWEEP_ANCHOR_STRIDE
+    proven = np.zeros(a.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in (left, np.minimum(left + 1, anchors.size - 1)):
+            a_j = amplitudes[anchors[j]]
+            delta = np.abs(a - a_j) * c_norm
+            slack = SWEEP_ROUNDING * s.shape[1] * (s_max[j] + (np.abs(a) + np.abs(a_j)) * c_norm)
+            proven |= s_min[j] - delta - slack > SINGULAR_RATIO * (s_max[j] + delta + slack)
+    check = np.ones(a.size, dtype=bool)
+    check[order] = ~proven
+    return _fixed_points(gens, check)
 
 
 @dataclass(frozen=True)
@@ -304,8 +347,9 @@ class SweepReport:
     worst out-of-plane distance, conic_coeffs = (c1..c6) describe
     c1 u^2 + c2 uv + c3 v^2 + c4 u + c5 v + c6 = 0 in plane coordinates with
     norm(c) = 1, and the discriminant c2^2 - 4 c1 c3 classifies the curve:
-    kind is "ellipse" (negative), "hyperbola" (positive) or "parabola"
-    (zero). Collinear or coincident points are reported with kind
+    kind is "parabola" when its modulus is at most CONIC_DISCRIMINANT_TOL
+    times c1^2 + c2^2 + c3^2, else "ellipse" (negative) or "hyperbola"
+    (positive). Collinear or coincident points are reported with kind
     "degenerate", not raised.
     """
 
@@ -326,14 +370,33 @@ class SweepReport:
         return self.max_point_norm < self.ball_radius
 
 
+def _classify_conic(coeffs):
+    """(discriminant, kind) of the conic c1 u^2 + c2 uv + c3 v^2 + c4 u + c5 v + c6 = 0.
+
+    The discriminant is c2^2 - 4 c1 c3. The curve is a "parabola" when its
+    modulus is at most CONIC_DISCRIMINANT_TOL times c1^2 + c2^2 + c3^2, a
+    ratio that rescaling both plane coordinates leaves unchanged; otherwise
+    an "ellipse" (negative) or a "hyperbola" (positive).
+    """
+    c1, c2, c3 = coeffs[:3]
+    disc = float(c2 ** 2 - 4.0 * c1 * c3)
+    if abs(disc) <= CONIC_DISCRIMINANT_TOL * (c1 ** 2 + c2 ** 2 + c3 ** 2):
+        return disc, "parabola"
+    return disc, "ellipse" if disc < 0 else "hyperbola"
+
+
 def steady_state_sweep(sys, spec, control_index, amplitudes):
     """Attractor locus for one control swept over constant amplitudes.
 
     The remaining controls are held at zero. Needs at least 6 samples to
     pin down a conic. (A, b) is linear in the amplitude, so it is assembled
-    once and every point is solved in one batch. Raises ValueError naming
-    the first non-finite amplitude, and NonUniqueEquilibriumError naming the
-    first amplitude whose A is singular.
+    once and every point is solved in one batch. A is singular when a
+    singular value is at or below SINGULAR_RATIO times the largest; SVDs at
+    anchor amplitudes and Weyl's bound decide that for the points between,
+    and a point the bound cannot prove non-singular gets its own SVD, so the
+    verdict equals the per-point rule. Raises ValueError naming the first
+    non-finite amplitude or the first that may overflow the generator, and
+    NonUniqueEquilibriumError naming the first amplitude whose A is singular.
     """
     amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
     finite = np.isfinite(amplitudes)
@@ -344,8 +407,11 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     if not 0 <= control_index < sys.n_controls:
         raise ValueError("control index %d out of range" % control_index)
     gens = affine_generator_set(sys, spec)
-    drift, control = gens[0] + gens[-1], gens[control_index + 1]
-    points, singular = _fixed_points(drift + amplitudes[:, None, None] * control)
+    k = _first_overflow(gens, amplitudes[:, None] * np.eye(sys.n_controls)[control_index])
+    if k is not None:
+        raise ValueError("amplitude %g overflows the generator" % amplitudes[k])
+    points, singular = _sweep_fixed_points(gens[0] + gens[-1], gens[control_index + 1],
+                                           amplitudes)
     if singular is not None:
         k, null_dim = singular
         raise NonUniqueEquilibriumError(
@@ -390,13 +456,7 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     if coeffs[lead] < 0:
         coeffs = -coeffs
     residual = float(np.max(np.abs(design @ coeffs)))
-    disc = float(coeffs[1] ** 2 - 4.0 * coeffs[0] * coeffs[2])
-    if disc < 0:
-        kind = "ellipse"
-    elif disc > 0:
-        kind = "hyperbola"
-    else:
-        kind = "parabola"
+    disc, kind = _classify_conic(coeffs)
     return SweepReport(
         amplitudes=amplitudes,
         points=points,

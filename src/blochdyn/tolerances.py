@@ -23,9 +23,26 @@ CLOSURE_TOL = 1e-10
 CLOSURE_ZERO_NORM = 1e-14
 # singular values at or below this times the largest make A singular
 SINGULAR_RATIO = 1e-12
+# a steady-state sweep decomposes every SWEEP_ANCHOR_STRIDE-th A(a) in
+# amplitude order and proves the points between non-singular by Weyl's
+# bound; the rest get their own SVD. A wider stride decomposes fewer
+# anchors but proves fewer points. Median sweep times over seeded random
+# ladders of 1,500 points at N = 3/4/5/8 (one BLAS thread): stride 8
+# 3.1/9.0/16/100 ms, 16 2.1/5.7/12/170 ms, 32 1.9/5.1/22/268 ms, against
+# 8.0/30/66/384 ms with an SVD per point
+SWEEP_ANCHOR_STRIDE = 16
+# rounding allowance of that proof per unit of dimension and of norm(A):
+# forming A(a) and A(a_j), and decomposing each, err by a small multiple of
+# n eps norm(A) apiece; 16 eps covers all four
+SWEEP_ROUNDING = 16 * 2.0 ** -52
 # second singular value of the sweep points (absolute, and relative to the
 # first) at or below which the points are collinear and the conic degenerate
 DEGENERATE_CONIC_TOL = 1e-12
+# |c2^2 - 4 c1 c3| at or below this times c1^2 + c2^2 + c3^2 makes the fitted
+# conic a parabola. Exact parabolas sampled at 6-1,500 points, with plane
+# extents 0.01-1 and height/width 0.1-1000, fit to at most 3.3e-11; an
+# ellipse falls below 1e-9 only when its axes differ by more than 6e4
+CONIC_DISCRIMINANT_TOL = 1e-9
 # default sample_dt keeps norm(L) * dt at or below this for every segment
 SAMPLE_STEP_NORM = 0.1
 # slack on dur/dt when counting sample steps in a segment, so that rounding

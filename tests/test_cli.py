@@ -282,6 +282,25 @@ def test_overflow_is_a_config_error_before_any_step(tmp_path, capsys, edit, kind
         assert not out.exists()
 
 
+def test_overflowing_sweep_amplitude_is_a_config_error(tmp_path, capsys):
+    # from the config's sweep list (for every command, as for segments) and
+    # from --amplitudes: exit 2 naming the amplitude, before any SVD or solve
+    doc = json.loads(template_text("quasi_spin_qubit"))
+    doc["sweep"]["amplitudes"][2] = 1.5e308
+    out = tmp_path / "x.out"
+    for command in ("simulate", "analyze", "sweep"):
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: sweep.amplitudes[2]: amplitude overflows the generator\n"
+        assert captured.out == ""
+    cfg_path = write_config(tmp_path, json.loads(template_text("quasi_spin_qubit")))
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--amplitudes=0,1,2,-1.5e308,3,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: amplitude -1.5e+308 overflows the generator\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_load_config_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"system": }')

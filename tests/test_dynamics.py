@@ -553,6 +553,41 @@ def test_sweep_validation():
         steady_state_sweep(sys, spec, 5, [0, 0.5, 1, 1.5, 2, 2.5])
 
 
+def test_overflowing_sweep_amplitude_is_a_value_error():
+    cfg = load_template("quasi_spin_qubit")
+    with pytest.raises(ValueError, match="amplitude 1.5e\\+308 overflows the generator"):
+        steady_state_sweep(cfg.system, cfg.dissipation, 1, [0.0, 1.0, 1.5e308, 2.0, 3.0, 4.0])
+    # a large amplitude inside the bound reaches the verdict without warnings
+    with pytest.raises(NonUniqueEquilibriumError, match="amplitude 5.0000000000000001e\\+307"):
+        steady_state_sweep(cfg.system, cfg.dissipation, 0, [0.0, 1.0, 5e307, 2.0, 3.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "coeffs, kind",
+    [
+        ((1.0, 0.0, 1.0), "ellipse"),
+        ((1.0, 0.0, -1.0), "hyperbola"),
+        ((1.0, 2.0, 1.0), "parabola"),
+        ((0.0, 0.0, 1.0), "parabola"),
+        # |disc| = 4e-12 against c1^2 + c2^2 + c3^2 = 6: a parabola up to
+        # rounding, which the exact-zero rule called an ellipse
+        ((1.0, 2.0, 1.0 + 1e-12), "parabola"),
+        ((1.0, 2.0, 1.0 - 1e-12), "parabola"),
+        # |disc| = 4e-8 against 6: past the tolerance on either side
+        ((1.0, 2.0, 1.0 + 1e-8), "ellipse"),
+        ((1.0, 2.0, 1.0 - 1e-8), "hyperbola"),
+    ],
+)
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_conic_kind_is_scale_aware(coeffs, kind, scale):
+    # scaling both plane coordinates by 1/sqrt(scale) multiplies c1..c3 by
+    # scale and leaves the kind alone; c4..c6 do not enter it
+    quadratic = scale * np.array(coeffs)
+    disc, got = dynamics._classify_conic(np.concatenate([quadratic, [0.3, -0.2, 0.1]]))
+    assert got == kind
+    assert disc == quadratic[1] ** 2 - 4.0 * quadratic[0] * quadratic[2]
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_amplitudes_rejected_before_solving(bad):
     cfg = load_template("driven_qubit")
