@@ -65,12 +65,17 @@ def complex_to_real(m):
 def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
     """Commutator closure of a list of real square matrices.
 
-    New candidates are normalized to unit Frobenius norm before the
-    independence test, so rank decisions are not skewed by norm growth with
-    depth. When every n x n generator has an exactly zero last row (affine
-    embeddings), so does every commutator, and the closure stops as soon as
-    it spans all n(n-1) such directions. Raises ClosureError (with the
-    partial basis attached) when max_depth rounds do not reach closure.
+    The generators are normalized to unit Frobenius norm and the basis is
+    kept orthonormal, so a bracket of two basis elements has norm at most 2
+    and enters the independence test unscaled: its part outside the span
+    must exceed tol. Normalizing a nearly vanishing bracket would magnify
+    its rounding past tol, so that a b of rounding size (symmetric
+    relaxation) would count as translations. When every n x n generator has
+    an exactly zero last row (affine embeddings), so does every commutator,
+    and the closure stops as soon as it spans all n(n-1) such directions.
+    Generators that all vanish generate the zero algebra, of dim 0. Raises
+    ClosureError (with the partial basis attached) when max_depth rounds do
+    not reach closure.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -95,22 +100,20 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
         q[k] = v / resid
         return k + 1
 
-    def unit_rows(m):
-        v = m.reshape(len(m), n * n)
-        nrm = np.linalg.norm(v, axis=1)
-        keep = nrm >= CLOSURE_ZERO_NORM
-        return v[keep] / nrm[keep, None]
-
     def result(k):
         return LieBasis(elements=tuple(q[:k].reshape(k, n, n).copy()), ambient_dim=n)
 
+    rows = np.array(mats).reshape(len(mats), n * n)
+    # scaled by each row's largest entry first: squaring 1e200 overflows
+    scale = np.maximum(np.abs(rows).max(axis=1), np.finfo(float).tiny)
+    rows = rows / scale[:, None]
+    nrm = np.linalg.norm(rows, axis=1)
+    keep = nrm >= CLOSURE_ZERO_NORM / scale
     k = 0
-    for v in unit_rows(np.array(mats)):
+    for v in rows[keep] / nrm[keep, None]:
         k = try_add(v, k)
         if k == cap:
             return result(k)
-    if k == 0:
-        raise ValueError("all generators vanish")
 
     frontier = range(k)
     for _ in range(max_depth):
@@ -122,7 +125,7 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
         for i in frontier:
             bi = q[i].reshape(n, n)
             older = q[:i].reshape(i, n, n)
-            cand = unit_rows(bi @ older - older @ bi)
+            cand = (bi @ older - older @ bi).reshape(i, n * n)
             # a candidate already within tol of the span stays there as the
             # basis grows, so one batched projection screens out most of them
             resid = cand - (cand @ q[:k].T) @ q[:k]
@@ -156,7 +159,12 @@ def affine_generator_set(sys, spec):
     and the steady states use; their closure is the full dynamical algebra
     on the coherence vector.
     """
-    return [affine_embed(to_affine(p)) for p in generator_pieces(sys, spec)]
+    return _affine_images(generator_pieces(sys, spec))
+
+
+def _affine_images(pieces):
+    """[[A, b], [0, 0]] embeddings of a list of trace-preserving generator pieces."""
+    return [affine_embed(to_affine(p)) for p in pieces]
 
 
 def decompose_inhomogeneous(basis, tol=CLOSURE_TOL):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .liouville import build_dissipator, trace_residual
-from .states import _extraction_maps
+from .states import _extraction_maps, _margins
 from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled
 
 
@@ -79,14 +79,14 @@ def ball_containment(traj, tol=PROPAGATION_TOL):
 
     For two levels this is the Bloch-ball condition |v| <= 1; for more
     levels positivity of each stored density matrix is checked instead,
-    with -min eigenvalue as the excess measure. Violations are reported,
-    not raised.
+    with -min eigenvalue from states._margins as the excess measure.
+    Violations are reported, not raised.
     """
     if traj.dim == 2:
         radius = traj.trace_part
         excess = np.linalg.norm(traj.bloch, axis=1) - radius
     else:
-        excess = -np.linalg.eigvalsh(traj.rho)[:, 0]
+        excess = -_margins(traj.rho)[2]
     worst = int(np.argmax(excess))
     violations = int(np.sum(excess > tol))
     return ContainmentReport(

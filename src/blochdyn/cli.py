@@ -14,11 +14,11 @@ import sys
 
 import numpy as np
 
-from .algebra import affine_generator_set, decompose_inhomogeneous, hamiltonian_algebra, lie_closure
+from .algebra import _affine_images, decompose_inhomogeneous, hamiltonian_algebra, lie_closure
 from .config import load_config, template_names, template_text
-from .dynamics import propagate, semigroup_spectrum, steady_state, steady_state_sweep
-from .errors import ConfigError, NonUniqueEquilibriumError, PhysicsError
-from .liouville import generator_pieces, support_overlap
+from .dynamics import _fixed_points, propagate, semigroup_spectrum, steady_state_sweep
+from .errors import ConfigError, PhysicsError
+from .liouville import _combine, generator_pieces, support_overlap
 from .tolerances import PROPAGATION_TOL
 
 
@@ -76,12 +76,13 @@ def cmd_simulate(cfg, out, sample_dt=None, tol=PROPAGATION_TOL):
 
 
 def analyze_report(cfg):
-    """Structural analysis of the configured system as a plain dict."""
+    """Structural analysis of the configured system as a plain dict; one generator build."""
     sys_, spec = cfg.system, cfg.dissipation
     pieces = generator_pieces(sys_, spec)
+    gens = _affine_images(pieces)
     overlap = support_overlap(pieces[1:-1], pieces[-1])
     ham = hamiltonian_algebra(sys_)
-    closure = lie_closure(affine_generator_set(sys_, spec))
+    closure = lie_closure(gens)
     hom_dim, trans_dim = decompose_inhomogeneous(closure)
     spectrum = semigroup_spectrum(pieces[0] + pieces[-1])
     report = {
@@ -101,18 +102,14 @@ def analyze_report(cfg):
             "zero_modes": spectrum.zero_modes,
         },
     }
-    try:
-        ss = steady_state(sys_, spec, np.zeros(sys_.n_controls))
-        report["steady_state"] = {
-            "bloch": ss.bloch.tolist(),
-            "norm": ss.norm,
-        }
+    v, singular = _fixed_points(_combine(gens, np.zeros(sys_.n_controls))[None])
+    if singular is None:
+        report["steady_state"] = {"bloch": v[0].tolist(), "norm": float(np.linalg.norm(v[0]))}
         report["equilibrium_note"] = "unique"
-    except NonUniqueEquilibriumError as exc:
+    else:
         report["steady_state"] = None
         report["equilibrium_note"] = (
-            "non-unique equilibrium (null space dimension %d)" % exc.null_dim
-        )
+            "non-unique equilibrium (null space dimension %d)" % singular[1])
     return report
 
 

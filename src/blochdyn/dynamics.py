@@ -9,13 +9,13 @@ fields are stepped exactly: a segment with two or more full sample steps
 forms exp(G dt) once and reuses it across its grid; every other step applies
 the action exp(G t) u directly, as the Taylor polynomial T_m(tG) u of the
 least degree m whose bound theta_m covers t norm(G, 1) (Al-Mohy & Higham),
-or through exp(G t) when m would exceed the length of u. exp(G t) itself is
-formed by scaling and squaring the same Taylor polynomial (Higham 2005, with
-the theta table of Al-Mohy & Higham), so numpy is the only dependency.
-Sampled fields take classical fourth-order steps, which under a constant G
-are exactly T_4(hG) u, so every route shares one Taylor kernel. All enforce
-forward time, reject amplitudes that would overflow G(f) before the first
-step, and pass every sample through one validity check.
+and forms exp(G t) only when t norm(G, 1) is past the last bound, theta_55.
+exp(G t) itself is formed by scaling and squaring the same Taylor polynomial
+(Higham 2005, with the theta table of Al-Mohy & Higham), so numpy is the
+only dependency. Sampled fields take classical fourth-order steps, which
+under a constant G are exactly T_4(hG) u, so every route shares one Taylor
+kernel. All enforce forward time, reject amplitudes that would overflow G(f)
+before the first step, and pass every sample through one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -133,14 +133,14 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     propagated exactly and sampled on a uniform sample_dt grid per segment:
     exp(G sample_dt) is formed once when a segment has two or more full
     steps, and every other step, the remainder at a segment's end included,
-    applies exp(G t) to u by a Taylor polynomial of fixed degree (or forms
-    exp(G t) where that degree would be too high). Sampled fields use fixed
-    fourth-order steps no larger than sample_dt. Zero
-    dissipation gives unitary evolution. Every sample is checked for validity;
-    the trace must hold to 1e-9 and Hermiticity/positivity to validity_tol,
-    which must be positive and finite. The samples are checked together once
-    computed; an error names the first failing one. Amplitudes for which
-    G(f) could overflow raise ValueError before the first step.
+    applies exp(G t) to u by the Taylor polynomial of least degree whose
+    bound covers t norm(G, 1), forming exp(G t) only past the last bound.
+    Sampled fields use fixed fourth-order steps no larger than sample_dt.
+    Zero dissipation gives unitary evolution. Every sample is checked for
+    validity; the trace must hold to 1e-9 and Hermiticity/positivity to
+    validity_tol, which must be positive and finite. The samples are checked
+    together once computed; an error names the first failing one. Amplitudes
+    for which G(f) could overflow raise ValueError before the first step.
     """
     if not 0.0 < validity_tol < np.inf:
         raise ValueError("validity_tol must be positive and finite")
@@ -173,7 +173,8 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
             r = dur - m * sample_dt
             if r <= GRID_REMAINDER_FRACTION * sample_dt:
                 r = 0.0
-            # a step operator used at most twice is applied, not formed
+            # the step operator is formed once for two or more full steps;
+            # a single step and the remainder apply exp(G t) to u
             norm = np.abs(gen).sum(axis=0).max()
             p = expm(gen, sample_dt) if m > 1 else None
             for k in range(1, m + 1):
@@ -215,12 +216,11 @@ def _expm_action(gen, t, u, norm):
     """exp(G t) u for norm = norm(G, 1), to unit roundoff.
 
     Takes the least degree m with TAYLOR_THETA[m] >= t norm, without
-    scaling. Past the table, or when m exceeds len(u) so that m matvecs
-    cost more than forming the exponential, exp(G t) is formed instead.
+    scaling. Past the table, exp(G t) is formed instead.
     """
     x = t * norm
     degree = next((m for m, theta in TAYLOR_THETA.items() if theta >= x), None)
-    if degree is None or degree > u.size:
+    if degree is None:
         return expm(gen, t) @ u
     return _taylor(gen, t, u, degree)
 
@@ -428,35 +428,23 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     center = points.mean(axis=0)
     rel = points - center
     _, s, vt = np.linalg.svd(rel, full_matrices=False)
-    degenerate = s.size < 2 or s[1] <= DEGENERATE_CONIC_TOL * max(1.0, s[0])
-    if degenerate:
-        return SweepReport(
-            amplitudes=amplitudes,
-            points=points,
-            center=center,
-            plane_basis=np.zeros((2, points.shape[1])),
-            plane_residual=0.0,
-            conic_coeffs=np.zeros(6),
-            conic_residual=float("nan"),
-            discriminant=float("nan"),
-            kind="degenerate",
-            max_point_norm=max_norm,
-            ball_radius=radius,
-        )
-    basis = vt[:2]
-    uv = rel @ basis.T
-    out_of_plane = rel - uv @ basis
-    plane_residual = float(np.max(np.linalg.norm(out_of_plane, axis=1)))
-    design = np.column_stack(
-        [uv[:, 0] ** 2, uv[:, 0] * uv[:, 1], uv[:, 1] ** 2, uv[:, 0], uv[:, 1], np.ones(len(uv))]
-    )
-    _, _, vt6 = np.linalg.svd(design, full_matrices=False)
-    coeffs = vt6[-1]
-    lead = np.argmax(np.abs(coeffs))
-    if coeffs[lead] < 0:
-        coeffs = -coeffs
-    residual = float(np.max(np.abs(design @ coeffs)))
-    disc, kind = _classify_conic(coeffs)
+    if s.size < 2 or s[1] <= DEGENERATE_CONIC_TOL * max(1.0, s[0]):
+        basis, plane_residual = np.zeros((2, points.shape[1])), 0.0
+        coeffs, residual, disc, kind = np.zeros(6), float("nan"), float("nan"), "degenerate"
+    else:
+        basis = vt[:2]
+        uv = rel @ basis.T
+        out_of_plane = rel - uv @ basis
+        plane_residual = float(np.max(np.linalg.norm(out_of_plane, axis=1)))
+        design = np.column_stack([uv[:, 0] ** 2, uv[:, 0] * uv[:, 1], uv[:, 1] ** 2,
+                                  uv[:, 0], uv[:, 1], np.ones(len(uv))])
+        _, _, vt6 = np.linalg.svd(design, full_matrices=False)
+        coeffs = vt6[-1]
+        lead = np.argmax(np.abs(coeffs))
+        if coeffs[lead] < 0:
+            coeffs = -coeffs
+        residual = float(np.max(np.abs(design @ coeffs)))
+        disc, kind = _classify_conic(coeffs)
     return SweepReport(
         amplitudes=amplitudes,
         points=points,

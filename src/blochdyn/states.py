@@ -23,7 +23,7 @@ from .tolerances import STATE_TRACE_TOL, VALIDITY_TOL
 class CoherenceVector:
     """Real coordinates of a density matrix: basis coefficients plus trace.
 
-    bloch has length N**2 - 1; trace_part is tr(rho), normally 1.
+    bloch has length N**2 - 1; trace_part is tr(rho), which must be 1.
     """
 
     bloch: np.ndarray
@@ -92,20 +92,11 @@ def density_from_coordinates(u, dim):
     return (u @ np.column_stack([e, mixed]).T).reshape(u.shape[:-1] + (dim, dim))
 
 
-def check_density(rho, tol=VALIDITY_TOL, times=None):
-    """Validate Hermiticity, unit trace and positivity of density matrices.
+def _margins(stack):
+    """Hermiticity, trace offset |Re tr - 1| + |Im tr| and min eigenvalue per matrix.
 
-    rho is one N x N matrix or a stack of them, checked with one batched
-    eigvalsh. tol bounds Hermiticity and positivity; the trace offset
-    |Re tr - 1| + |Im tr| always holds to STATE_TRACE_TOL. Returns the worst
-    margins over the stack; raises UnphysicalStateError for the first
-    failing matrix. times, when given, labels the stack: the error then
-    names that matrix's time and carries it as worst["t"].
+    stack has shape (K, N, N) and gets one batched eigvalsh.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError("density matrix must be square")
-    stack = rho.reshape((-1,) + rho.shape[-2:])
     adj = stack.conj().swapaxes(1, 2)
     herm = np.max(np.abs(stack - adj), axis=(1, 2))
     tr = np.trace(stack, axis1=1, axis2=2)
@@ -114,10 +105,26 @@ def check_density(rho, tol=VALIDITY_TOL, times=None):
     # meaningful even when the Hermiticity check is about to fail
     sym = 0.5 * (stack + adj)
     # LAPACK may fail on non-finite input; such matrices get NaN margins,
-    # and the comparisons below are written so that NaN fails
+    # and the comparisons of check_density are written so that NaN fails
     finite = np.isfinite(sym).all(axis=(1, 2))
     sym[~finite] = 0.0
-    mineig = np.where(finite, np.linalg.eigvalsh(sym)[:, 0], np.nan)
+    return herm, trace, np.where(finite, np.linalg.eigvalsh(sym)[:, 0], np.nan)
+
+
+def check_density(rho, tol=VALIDITY_TOL, times=None):
+    """Validate Hermiticity, unit trace and positivity of density matrices.
+
+    rho is one N x N matrix or a stack of them, checked together by
+    _margins. tol bounds Hermiticity and positivity; the trace offset
+    |Re tr - 1| + |Im tr| always holds to STATE_TRACE_TOL. Returns the worst
+    margins over the stack; raises UnphysicalStateError for the first
+    failing matrix. times, when given, labels the stack: the error then
+    names that matrix's time and carries it as worst["t"].
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError("density matrix must be square")
+    herm, trace, mineig = _margins(rho.reshape((-1,) + rho.shape[-2:]))
     ok = (herm <= tol) & (trace <= STATE_TRACE_TOL) & (mineig >= -tol)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -166,18 +173,12 @@ def to_coherence_vector(rho):
 def from_coherence_vector(v):
     """Reassemble the density matrix rho = (s/N) I + (1/2) sum_a v_a g_a.
 
-    Raises UnphysicalStateError when the coordinates do not describe a
-    positive matrix (for N = 2: the vector pokes outside the Bloch ball),
-    and ValueError for non-finite coordinates.
+    check_density raises UnphysicalStateError unless trace_part is 1 and rho
+    is positive (for N = 2: the vector stays inside the Bloch ball), as for
+    every state. Non-finite coordinates raise ValueError.
     """
     if not (np.all(np.isfinite(v.bloch)) and np.isfinite(v.trace_part)):
         raise ValueError("coherence vector has non-finite coordinates")
     rho = density_from_coordinates(np.append(v.bloch, v.trace_part), v.dim)
-    mineig = float(np.linalg.eigvalsh(rho)[0])
-    if mineig < -VALIDITY_TOL:
-        raise UnphysicalStateError(
-            "unphysical state: coherence vector gives min eigenvalue %.3g"
-            % mineig,
-            worst={"min_eigenvalue": mineig},
-        )
+    check_density(rho)
     return rho

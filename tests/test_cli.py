@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from blochdyn import config
+from blochdyn import algebra, cli, config, dynamics, liouville
 from blochdyn.cli import _write_table, main
 from blochdyn.config import (
     _schema_errors,
@@ -656,3 +656,96 @@ def test_parse_config_rejects_non_finite_model_numbers(put, value):
     put(doc, value)
     with pytest.raises(ConfigError, match="finite"):
         parse_config(doc)
+
+
+def test_analyze_vanishing_generators_close_to_the_zero_algebra(tmp_path, capsys):
+    # equal energies, no dipoles and zero rates: every generator piece is 0
+    doc = make_doc(field={"segments": [{"duration": 1.0, "values": []}]})
+    doc["system"] = {"levels": 2, "energies": [0.5, 0.5]}
+    doc["dissipation"] = {"dephasing": [[0.0, 0.0], [0.0, 0.0]],
+                          "relaxation": [[0.0, 0.0], [0.0, 0.0]]}
+    assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "affine closure dimension: 0 (homogeneous 0, translation 0)\n" in captured.out
+
+
+def test_analyze_keeps_the_drift_of_huge_energies(tmp_path, capsys):
+    # the closure's row norms must not square entries near 1e200: that
+    # overflows, warns and drops the drift, whose scale leaves the algebra as is
+    doc = json.loads(template_text("quasi_spin_qubit"))
+    doc["system"]["energies"] = [1e200, -1e200]
+    assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "affine closure dimension: 9 (homogeneous 9, translation 0)\n" in captured.out
+
+
+def test_coherence_trace_part_must_be_one(tmp_path, capsys):
+    # as for a density matrix with trace 2: a physics error on every command
+    doc = json.loads(template_text("quasi_spin_qubit"))
+    doc["initial"] = {"coherence": {"bloch": [0.0, 0.0, 0.0], "trace_part": 2.0}}
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "x.out"
+    for command in ("simulate", "analyze", "sweep"):
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("physics error: unphysical state: ")
+        assert "trace offset 1," in captured.err and captured.out == ""
+        assert not out.exists()
+
+
+def _complex_rows(m):
+    return [[[float(x), 0.0] for x in row] for row in m]
+
+
+@pytest.mark.parametrize("args, initial", [
+    (["sweep", "--control", "0", "--amplitudes=0,1,2,3,4"], None),
+    (["sweep", "--control", "2", "--amplitudes=0,1,2,3,4,5"], None),
+    (["sweep", "--control", "0", "--amplitudes=0,1,two,3,4,5"], None),
+    (["analyze"], {"pure": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}),
+    (["analyze"], {"density": _complex_rows(np.diag([1.0, 0.0, 0.0]))}),
+    (["analyze"], {"coherence": {"bloch": [0.0] * 8}}),
+    (["template", "retired"], None),
+], ids=["too_few_amplitudes", "control_out_of_range", "non_numeric_amplitude",
+        "pure_wrong_size", "density_wrong_size", "coherence_wrong_size", "unknown_template"])
+def test_config_error_branches_exit_2(tmp_path, capsys, monkeypatch, args, initial):
+    if args[0] == "template":
+        # a name the parser offers but the package does not ship reaches
+        # template_text's own check, which load_template shares
+        monkeypatch.setattr(cli, "template_names", lambda: template_names() + ["retired"])
+        argv = args
+    else:
+        doc = make_doc()
+        if initial is not None:
+            doc["initial"] = initial
+        argv = args[:1] + ["--config", write_config(tmp_path, doc),
+                           "--out", str(tmp_path / "x.out")] + args[1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
+@pytest.mark.parametrize("template", template_names())
+def test_each_command_builds_the_generator_twice(tmp_path, capsys, monkeypatch, command,
+                                                 template):
+    # once in parse_config, whose overflow check fails every command before
+    # any work, and once for the command itself
+    builds = []
+    build = liouville.generator_pieces
+
+    def counted(sys_, spec):
+        builds.append(sys_)
+        return build(sys_, spec)
+
+    for module in (liouville, algebra, dynamics, cli):
+        if hasattr(module, "generator_pieces"):
+            monkeypatch.setattr(module, "generator_pieces", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(template_text(template))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 0
+    capsys.readouterr()
+    assert len(builds) == 2

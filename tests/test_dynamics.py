@@ -314,8 +314,8 @@ def test_short_slices_apply_the_exponential_without_forming_it(monkeypatch):
 
 
 @pytest.mark.parametrize("scale, dur", [
-    (1e6, 1e-3),  # t norm(G, 1) far past the last Taylor bound
-    (1.0, 0.5),  # within the bounds, but the degree exceeds len(u) = 4
+    (1e6, 1e-3),  # t norm(G, 1) far past the last Taylor bound: formed
+    (1.0, 0.5),  # within the bounds, though the degree exceeds len(u) = 4: applied
 ])
 def test_steps_past_the_taylor_bounds_form_the_exponential(monkeypatch, scale, dur):
     sys, spec = make_qubit(BIG_GAMMA * scale, G12 * scale, G21 * scale)
@@ -323,7 +323,7 @@ def test_steps_past_the_taylor_bounds_form_the_exponential(monkeypatch, scale, d
     calls = counting_expm(monkeypatch)
     traj = propagate(sys, spec, ControlField(segments=((dur, f),)), from_pure([1, 1]),
                      sample_dt=1.0)
-    assert calls == [dur]
+    assert calls == ([dur] if scale > 1.0 else [])
     expected = scipy.linalg.expm(total_generator(sys, spec, f) * dur) @ vectorize(from_pure([1, 1]))
     assert np.max(np.abs(traj.rho[-1] - expected.reshape(2, 2))) <= 1e-12
 

@@ -1,8 +1,11 @@
-"""`sweep` and `analyze` on the shipped templates, byte for byte against tests/golden.
+"""`simulate`, `sweep` and `analyze` on the shipped templates, byte for byte against tests/golden.
 
-For each template NAME the directory holds NAME.sweep.csv and
-NAME.sweep.stdout from `blochdyn sweep --config NAME.json --out NAME.sweep.csv`,
-and NAME.analyze.stdout and NAME.analyze.json from
+For each template NAME the directory holds NAME.simulate.csv and the empty
+NAME.simulate.stdout from
+`blochdyn simulate --config NAME.json --out NAME.simulate.csv`,
+NAME.sweep.csv and NAME.sweep.stdout from
+`blochdyn sweep --config NAME.json --out NAME.sweep.csv`, and
+NAME.analyze.stdout and NAME.analyze.json from
 `blochdyn analyze --config NAME.json --out NAME.analyze.json`, with NAME.json
 written by `blochdyn template NAME`. A change that moves emitted digits
 regenerates them with those commands and records the largest deviation in
@@ -19,7 +22,8 @@ from blochdyn.config import template_names, template_text
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("command, suffix", [("sweep", "csv"), ("analyze", "json")])
+@pytest.mark.parametrize("command, suffix", [("simulate", "csv"), ("sweep", "csv"),
+                                             ("analyze", "json")])
 @pytest.mark.parametrize("template", template_names())
 def test_cli_output_matches_golden(tmp_path, capsys, template, command, suffix):
     cfg = tmp_path / "cfg.json"
