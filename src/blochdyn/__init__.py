@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     NonUniqueEquilibriumError,
     PhysicsError,
+    SampleGridError,
     SemigroupDomainError,
     UnphysicalStateError,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "LieBasis",
     "NonUniqueEquilibriumError",
     "PhysicsError",
+    "SampleGridError",
     "SemigroupDomainError",
     "SpectrumReport",
     "SweepReport",

@@ -201,12 +201,11 @@ def cmd_template(name, out=None):
     return 0
 
 
-def _simulate_tol(flag):
-    """--tol, else PROPAGATION_TOL; positive and finite."""
-    tol = PROPAGATION_TOL if flag is None else flag
-    if not 0.0 < tol < float("inf"):
-        raise ConfigError("tolerance must be positive and finite, got %g" % tol)
-    return tol
+def _positive_flag(name, value):
+    """A flag's value, which must be positive and finite when given."""
+    if value is not None and not 0.0 < value < float("inf"):
+        raise ConfigError("%s must be positive and finite, got %g" % (name, value))
+    return value
 
 
 def build_parser():
@@ -247,9 +246,10 @@ def main(argv=None):
         if args.command == "template":
             return cmd_template(args.name, out=args.out)
         if args.command == "simulate":
-            tol = _simulate_tol(args.tol)
-            return cmd_simulate(load_config(args.config), args.out,
-                                sample_dt=args.sample_dt, tol=tol)
+            tol = _positive_flag("--tol", args.tol)
+            dt = _positive_flag("--sample-dt", args.sample_dt)
+            return cmd_simulate(load_config(args.config), args.out, sample_dt=dt,
+                                tol=PROPAGATION_TOL if tol is None else tol)
         cfg = load_config(args.config)
         if args.command == "analyze":
             return cmd_analyze(cfg, out=args.out)

@@ -4,18 +4,17 @@ Propagation, steady states and sweeps all read the affine images of the
 generator pieces (L0, L_m, L_D) from algebra.affine_generator_set, and
 weight them by (1, f_1..f_M, 1) into G(f) = [[A(f), b(f)], [0, 0]].
 
-States are stepped as real coordinates u = (v, tr rho) under G(f). Piecewise
-fields are stepped exactly: a segment with two or more full sample steps
-forms exp(G dt) once and reuses it across its grid; every other step applies
-the action exp(G t) u directly, as the Taylor polynomial T_m(tG) u of the
-least degree m whose bound theta_m covers t norm(G, 1) (Al-Mohy & Higham),
-and forms exp(G t) only when t norm(G, 1) is past the last bound, theta_55.
-exp(G t) itself is formed by scaling and squaring the same Taylor polynomial
-(Higham 2005, with the theta table of Al-Mohy & Higham), so numpy is the
-only dependency. Sampled fields take classical fourth-order steps, which
-under a constant G are exactly T_4(hG) u, so every route shares one Taylor
-kernel. All enforce forward time, reject amplitudes that would overflow G(f)
-before the first step, and pass every sample through one validity check.
+States are stepped as real coordinates u = (v, tr rho) under G(f) on one
+grid for both field kinds: a segment of duration d takes n = ceil(d / dt)
+equal steps h = d / n, each either T_m(hG) u, a Taylor polynomial, or p u
+with p = exp(G h) formed once per segment. Sampled fields take m = 4, the
+classical RK4 step under a held G. Piecewise fields are stepped exactly: m
+is the least degree whose bound theta_m covers h norm(G, 1) (Al-Mohy &
+Higham), and p is formed for three or more steps or past the last bound,
+theta_55. exp(G t) itself is formed by scaling and squaring the same Taylor
+polynomial (Higham 2005), so numpy is the only dependency. Forward time is
+enforced, amplitudes that would overflow G(f) and grids too large to hold
+are refused before the first step, and every sample passes one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -33,13 +32,13 @@ import numpy as np
 
 from .algebra import affine_generator_set
 from .bloch import AffineGenerator
-from .errors import NonUniqueEquilibriumError, SemigroupDomainError
+from .errors import NonUniqueEquilibriumError, SampleGridError, SemigroupDomainError
 from .liouville import _combine, _first_overflow, generator_pieces, vectorize
 from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
 from .tolerances import (CONIC_DISCRIMINANT_TOL, DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE,
-                         GRID_REMAINDER_FRACTION, GRID_STEP_SLACK, PROPAGATION_TOL,
-                         SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL, SWEEP_ANCHOR_STRIDE,
-                         SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled, overruns)
+                         GRID_STEP_SLACK, MAX_SAMPLE_BYTES, PROPAGATION_TOL, SAMPLE_STEP_NORM,
+                         SINGULAR_RATIO, SPECTRUM_TOL, SWEEP_ANCHOR_STRIDE, SWEEP_ROUNDING,
+                         TAYLOR_THETA, exceeds_scaled, overruns)
 
 
 def expm(m, t=1.0):
@@ -64,8 +63,7 @@ def expm(m, t=1.0):
         raise ValueError("matrix exponential of non-finite input")
     theta = TAYLOR_THETA[EXPM_MAX_DEGREE]
     s = int(np.ceil(np.log2(norm / theta))) if norm > theta else 0
-    degree = next(d for d, bound in TAYLOR_THETA.items() if bound >= norm / 2.0 ** s)
-    e = _taylor(x, 2.0 ** -s, np.eye(len(x)), degree)
+    e = _taylor(x, 2.0 ** -s, np.eye(len(x)), _taylor_degree(norm / 2.0 ** s))
     for _ in range(s):
         e = e @ e
     return e
@@ -129,21 +127,24 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
               validity_tol=PROPAGATION_TOL):
     """Evolve a state under the dissipative semigroup exp(Lt).
 
-    The state is stepped as u = (v, tr rho) under G(f). Piecewise fields are
-    propagated exactly and sampled on a uniform sample_dt grid per segment:
-    exp(G sample_dt) is formed once when a segment has two or more full
-    steps, and every other step, the remainder at a segment's end included,
-    applies exp(G t) to u by the Taylor polynomial of least degree whose
-    bound covers t norm(G, 1), forming exp(G t) only past the last bound.
-    Sampled fields use fixed fourth-order steps no larger than sample_dt.
-    Zero dissipation gives unitary evolution. Every sample is checked for
-    validity; the trace must hold to 1e-9 and Hermiticity/positivity to
-    validity_tol, which must be positive and finite. The samples are checked
-    together once computed; an error names the first failing one. Amplitudes
-    for which G(f) could overflow raise ValueError before the first step.
+    The state is stepped as u = (v, tr rho) under G(f). Both field kinds take
+    n = ceil(d / sample_dt) equal steps over a segment of duration d, so no
+    step exceeds sample_dt and every segment end is a sample. Piecewise
+    fields are stepped exactly, by the Taylor polynomial of least degree
+    whose bound covers h norm(G, 1), or by exp(G h) formed once for three or
+    more steps or past the last bound; sampled fields take classical
+    fourth-order steps. Zero dissipation gives unitary evolution. Every
+    sample is checked for validity; the trace must hold to 1e-9 and
+    Hermiticity/positivity to validity_tol, which must be positive and
+    finite. The samples are checked together once computed; an error names
+    the first failing one. Amplitudes for which G(f) could overflow raise
+    ValueError before the first step, and so (as SampleGridError) does a
+    sample_dt not positive and finite or whose grid passes MAX_SAMPLE_BYTES.
     """
     if not 0.0 < validity_tol < np.inf:
         raise ValueError("validity_tol must be positive and finite")
+    if sample_dt is not None and not 0.0 < sample_dt < np.inf:
+        raise SampleGridError("sample_dt must be positive and finite, got %g" % sample_dt)
     rho0 = np.asarray(rho0, dtype=complex)
     check_density(rho0)
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
@@ -157,44 +158,32 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
         pieces = np.array(generator_pieces(sys, spec))
         sample_dt = default_sample_dt([_combine(pieces, v) for _, v in segs],
                                       sum(d for d, _ in segs) or 1.0)
-    if sample_dt <= 0:
-        raise ValueError("sample_dt must be positive")
+    with np.errstate(over="ignore"):  # a count that overflows is refused below
+        steps = np.maximum(1.0, np.ceil([d / sample_dt - GRID_STEP_SLACK for d, _ in segs]))
+        samples = steps.sum() + 1.0
+    if samples > MAX_SAMPLE_BYTES / (16 * sys.dim ** 2):
+        raise SampleGridError("sample_dt %g gives %.4g samples of %dx%d density matrices, past "
+                              "the %d MB bound" % (sample_dt, samples, sys.dim, sys.dim,
+                                                   MAX_SAMPLE_BYTES >> 20))
 
     u = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)), np.trace(rho0).real)
     times = [0.0]
     us = [u]
     t0 = 0.0
-    for dur, values in segs:
+    for (dur, values), n in zip(segs, steps.astype(int).tolist()):
         gen = _combine(gens, values)
+        h = dur / n
         if field.kind == "piecewise":
-            # uniform grid reusing one step operator; a remainder shorter
-            # than dt is folded into a final sample at the exact segment end
-            m = int(np.floor(dur / sample_dt + GRID_STEP_SLACK))
-            r = dur - m * sample_dt
-            if r <= GRID_REMAINDER_FRACTION * sample_dt:
-                r = 0.0
-            # the step operator is formed once for two or more full steps;
-            # a single step and the remainder apply exp(G t) to u
-            norm = np.abs(gen).sum(axis=0).max()
-            p = expm(gen, sample_dt) if m > 1 else None
-            for k in range(1, m + 1):
-                u = _expm_action(gen, sample_dt, u, norm) if p is None else p @ u
-                us.append(u)
-                times.append(t0 + dur if r == 0.0 and k == m else t0 + k * sample_dt)
-            if r > 0.0:
-                u = _expm_action(gen, r, u, norm)
-                us.append(u)
-                times.append(t0 + dur)
+            degree = _taylor_degree(h * np.abs(gen).sum(axis=0).max())
+            p = expm(gen, h) if n > 2 or degree is None else None
         else:
             # held samples: classical RK4 with the generator frozen per
-            # segment, which is T_4(hG) exactly; steps chosen to land on the
-            # segment end
-            n = max(1, int(np.ceil(dur / sample_dt - GRID_STEP_SLACK)))
-            h = dur / n
-            for k in range(1, n + 1):
-                u = _taylor(gen, h, u, 4)
-                us.append(u)
-                times.append(t0 + dur if k == n else t0 + k * h)
+            # segment, which is T_4(hG) exactly
+            degree, p = 4, None
+        for k in range(1, n + 1):
+            u = _taylor(gen, h, u, degree) if p is None else p @ u
+            us.append(u)
+            times.append(t0 + dur if k == n else t0 + k * h)
         t0 += dur
     us = np.array(us)
     rhos = np.concatenate([rho0[None], density_from_coordinates(us[1:], sys.dim)])
@@ -212,17 +201,9 @@ def _taylor(gen, t, u, degree):
     return v
 
 
-def _expm_action(gen, t, u, norm):
-    """exp(G t) u for norm = norm(G, 1), to unit roundoff.
-
-    Takes the least degree m with TAYLOR_THETA[m] >= t norm, without
-    scaling. Past the table, exp(G t) is formed instead.
-    """
-    x = t * norm
-    degree = next((m for m, theta in TAYLOR_THETA.items() if theta >= x), None)
-    if degree is None:
-        return expm(gen, t) @ u
-    return _taylor(gen, t, u, degree)
+def _taylor_degree(x):
+    """Least degree m whose TAYLOR_THETA[m] covers x = t norm(G, 1), or None past the table."""
+    return next((m for m, theta in TAYLOR_THETA.items() if theta >= x), None)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ class ConfigError(BlochdynError):
     """A run configuration is malformed or internally inconsistent."""
 
 
+class SampleGridError(ConfigError, ValueError):
+    """sample_dt is not positive and finite, or sets a grid too large to hold."""
+
+
 class PhysicsError(BlochdynError):
     """A computation was asked to cross a physical validity boundary."""
 

@@ -102,9 +102,9 @@ class ControlField:
     """Piecewise-held field amplitudes f_m(t).
 
     segments is a sequence of (duration, values) pairs; values has one entry
-    per control. kind selects the propagation route: "piecewise" fields are
-    exponentiated exactly segment by segment, "sampled" fields go through the
-    fixed-step integrator. The held-value semantics are identical.
+    per control. Both kinds are sampled on one grid of equal steps per
+    segment; kind selects the step: "piecewise" fields are stepped exactly,
+    "sampled" fields by classical RK4. The held-value semantics are identical.
     """
 
     segments: tuple

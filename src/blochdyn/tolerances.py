@@ -45,11 +45,13 @@ DEGENERATE_CONIC_TOL = 1e-12
 CONIC_DISCRIMINANT_TOL = 1e-9
 # default sample_dt keeps norm(L) * dt at or below this for every segment
 SAMPLE_STEP_NORM = 0.1
-# slack on dur/dt when counting sample steps in a segment, so that rounding
-# just off an integer neither adds nor drops a step
+# a segment of duration d takes ceil(d / dt - GRID_STEP_SLACK) equal steps,
+# so that rounding just above an integer adds no step
 GRID_STEP_SLACK = 1e-12
-# a remainder of at most this fraction of dt is rounding, not a short step
-GRID_REMAINDER_FRACTION = 1e-9
+# a grid whose density matrices (16 N^2 bytes a sample) pass this is refused:
+# 2^20 samples at N = 2, 2^16 at N = 8. propagate peaks at 6-8 times that
+# stack (92 MB of RSS for 12 MB at N = 2); benchmark calls hold up to 2 MB
+MAX_SAMPLE_BYTES = 2 ** 26
 # relative and absolute slack for a duration that overruns the field program
 DURATION_REL_SLACK = 1e-12
 DURATION_ABS_SLACK = 1e-15

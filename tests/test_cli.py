@@ -446,6 +446,38 @@ def test_simulate_sample_dt_flag(tmp_path):
     assert len(rows) - 1 == 5  # 0.0, 0.5, 1.0, 1.5, 2.0
 
 
+def test_sample_dt_past_the_duration_samples_every_segment_end(tmp_path):
+    doc = json.loads(template_text("driven_qubit"))
+    doc["run"]["sample_dt"] = 1e300
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 2.0, 4.0, 8.0]
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_sample_dt_flag_must_be_positive_and_finite(tmp_path, capsys, value):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, make_doc()), "--out", str(out),
+                 "--sample-dt", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --sample-dt must be positive and finite")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_grid_too_large_to_hold_is_a_config_error(tmp_path, capsys):
+    # 8e9 samples of driven_qubit: refused before the first step, not run
+    doc = json.loads(template_text("driven_qubit"))
+    doc["run"]["sample_dt"] = 1e-9
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: sample_dt 1e-09 gives 8e+09 samples")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_analyze_report_content(tmp_path, capsys):
     cfg_path = write_config(tmp_path, make_doc())
     out = tmp_path / "report.json"

@@ -26,6 +26,7 @@ from blochdyn.dynamics import (
 )
 from blochdyn.errors import (
     NonUniqueEquilibriumError,
+    SampleGridError,
     SemigroupDomainError,
     UnphysicalStateError,
 )
@@ -220,6 +221,25 @@ def test_propagate_rejects_unphysical_initial_state():
         propagate(sys, spec, field, np.diag([1.4, -0.4]), sample_dt=0.1)
 
 
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf"), 1e-9, 1e-320])
+def test_propagate_refuses_bad_sample_grids(dt):
+    # not positive and finite, or 8e9 samples and more: a ValueError before
+    # the first step
+    sys, spec = make_qubit()
+    field = ControlField.constant([0.0, 0.0], duration=8.0)
+    with pytest.raises(SampleGridError, match="sample_dt") as err:
+        propagate(sys, spec, field, from_pure([1, 0]), sample_dt=dt)
+    assert isinstance(err.value, ValueError)
+
+
+def test_default_grid_too_large_to_hold_is_refused():
+    # rates of 1e12 give a default sample_dt near 1e-13
+    sys, spec = make_qubit(BIG_GAMMA * 1e12, G12 * 1e12, G21 * 1e12)
+    field = ControlField.constant([0.0, 0.0], duration=8.0)
+    with pytest.raises(SampleGridError, match="past the 64 MB bound"):
+        propagate(sys, spec, field, from_pure([1, 0]))
+
+
 def test_default_sample_dt_scales_with_generator_norm():
     sys, spec = make_qubit()
     small = default_sample_dt([total_generator(sys, spec, (0.0, 0.0))], 10.0)
@@ -262,20 +282,16 @@ def test_degree_four_taylor_step_is_the_classical_rk4_step():
         assert np.linalg.norm(_taylor(gen, h, u, 4) - rk4) <= 1e-15 * np.linalg.norm(rk4)
 
 
-def test_taylor_degree_is_the_least_whose_bound_covers_the_step(monkeypatch):
-    rng = np.random.default_rng(5)
-    gen = rng.standard_normal((64, 64))
-    norm = np.abs(gen).sum(axis=0).max()
-    u = rng.standard_normal(64)
-    degrees = []
-    monkeypatch.setattr(dynamics, "_taylor", lambda g, t, v, m: degrees.append(m) or v)
+def test_taylor_degree_is_the_least_whose_bound_covers_the_step():
     bounds = sorted(TAYLOR_THETA.items())
+    degrees = []
     expected = []
     for (m, theta), (above, _) in zip(bounds, bounds[1:]):
-        dynamics._expm_action(gen, theta * (1 - 1e-9) / norm, u, norm)
-        dynamics._expm_action(gen, theta * (1 + 1e-9) / norm, u, norm)
+        degrees += [dynamics._taylor_degree(theta * (1 - 1e-9)),
+                    dynamics._taylor_degree(theta * (1 + 1e-9))]
         expected += [m, above]
     assert degrees == expected
+    assert dynamics._taylor_degree(bounds[-1][1] * (1 + 1e-9)) is None
 
 
 def counting_expm(monkeypatch):

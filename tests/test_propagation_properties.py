@@ -19,6 +19,7 @@ from blochdyn.bloch import to_affine
 from blochdyn.dynamics import propagate, steady_state
 from blochdyn.liouville import build_dissipator, commutator_superop, vectorize
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec
+from blochdyn.tolerances import GRID_STEP_SLACK
 
 PROPERTIES = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -115,8 +116,8 @@ def test_exact_route_matches_product_of_exponentials(dim, seed):
 @given(**CASES, log_reach=st.floats(-4.0, 1.0))
 def test_short_slices_match_product_of_exponentials(dim, seed, log_reach):
     # slices of 0.3 to 2.2 sample steps, with dt norm(G, 1) from 1e-4 to 10:
-    # every Taylor degree, the fallback to exp(G t) past the degree cap, and
-    # segments with two full steps that form exp(G dt) once
+    # every Taylor degree, the fallback to exp(G h) past the degree cap, and
+    # segments of three or more steps that form exp(G h) once
     rng = np.random.default_rng(seed)
     sys, spec = admissible_system(rng, dim)
     values = rng.uniform(-1.0, 1.0, (int(rng.integers(20, 61)), dim - 1))
@@ -128,6 +129,40 @@ def test_short_slices_match_product_of_exponentials(dim, seed, log_reach):
     traj = propagate(sys, spec, ControlField(segments=segments), rho0, sample_dt=dt)
     expected = product_of_exponentials(sys, spec, segments, rho0)
     assert np.max(np.abs(traj.rho[-1] - expected)) <= 1e-12
+
+
+@PROPERTIES
+@given(**CASES)
+def test_sample_dt_past_the_duration_samples_every_segment_end(dim, seed):
+    # one exact step per segment, whatever its norm: the Taylor action or,
+    # past the last bound, exp(G h) formed
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    segments, rho0 = random_segments(rng, dim - 1), random_state(rng, dim)
+    traj = propagate(sys, spec, ControlField(segments=segments), rho0, sample_dt=1e300)
+    assert traj.times.tolist() == [0.0] + np.cumsum([d for d, _ in segments]).tolist()
+    expected = product_of_exponentials(sys, spec, segments, rho0)
+    assert np.max(np.abs(traj.rho[-1] - expected)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(durations=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=5),
+       sample_dt=st.floats(0.005, 3.0))
+def test_both_field_kinds_share_one_sample_grid(durations, sample_dt):
+    rng = np.random.default_rng(0)
+    sys, spec = admissible_system(rng, 2)
+    segments, rho0 = tuple((d, (0.3,)) for d in durations), random_state(rng, 2)
+    grids = [propagate(sys, spec, ControlField(segments=segments, kind=kind), rho0,
+                       sample_dt=sample_dt).times for kind in ("piecewise", "sampled")]
+    assert grids[0].tobytes() == grids[1].tobytes()
+    times = grids[0]
+    steps = [max(1, int(np.ceil(d / sample_dt - GRID_STEP_SLACK))) for d in durations]
+    assert times.size == 1 + sum(steps)
+    # h = d / n passes sample_dt by at most the grid slack, and t0 + k h
+    # adds rounding
+    assert np.all(np.diff(times) <= sample_dt * (1.0 + 1e-11))
+    ends = np.cumsum(steps)
+    assert times[ends].tolist() == np.cumsum(durations).tolist()
 
 
 @PROPERTIES
