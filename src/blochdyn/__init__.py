@@ -31,9 +31,9 @@ from .errors import (
     BlochdynError,
     ClosureError,
     ConfigError,
+    InputError,
     NonUniqueEquilibriumError,
     PhysicsError,
-    SampleGridError,
     SemigroupDomainError,
     UnphysicalStateError,
 )
@@ -77,10 +77,10 @@ __all__ = [
     "ControlField",
     "ControlSystem",
     "DissipationSpec",
+    "InputError",
     "LieBasis",
     "NonUniqueEquilibriumError",
     "PhysicsError",
-    "SampleGridError",
     "SemigroupDomainError",
     "SpectrumReport",
     "SweepReport",

@@ -199,10 +199,7 @@ def parse_config(doc):
         )
     # finite numbers can still overflow the generator; found here, before
     # any stepping, and not as warnings and NaN states later
-    try:
-        gens = affine_generator_set(system, spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    gens = affine_generator_set(system, spec)
     k = _first_overflow(gens, [values for _, values in field.segments])
     if k is not None:
         raise ConfigError("field.segments[%d]: amplitudes overflow the generator" % k)

@@ -13,8 +13,9 @@ is the least degree whose bound theta_m covers h norm(G, 1) (Al-Mohy &
 Higham), and p is formed for three or more steps or past the last bound,
 theta_55. exp(G t) itself is formed by scaling and squaring the same Taylor
 polynomial (Higham 2005), so numpy is the only dependency. Forward time is
-enforced, amplitudes that would overflow G(f) and grids too large to hold
-are refused before the first step, and every sample passes one validity check.
+enforced; amplitudes that would overflow G(f), Hamiltonian phases too large
+to keep digits and grids too large to hold are refused (InputError) before
+the first step, and every sample passes one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -32,13 +33,13 @@ import numpy as np
 
 from .algebra import affine_generator_set
 from .bloch import AffineGenerator
-from .errors import NonUniqueEquilibriumError, SampleGridError, SemigroupDomainError
-from .liouville import _combine, _first_overflow, generator_pieces, vectorize
+from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
+from .liouville import _combine, _entry_bounds, _first_overflow, generator_pieces, vectorize
 from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
 from .tolerances import (CONIC_DISCRIMINANT_TOL, DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE,
-                         GRID_STEP_SLACK, MAX_SAMPLE_BYTES, PROPAGATION_TOL, SAMPLE_STEP_NORM,
-                         SINGULAR_RATIO, SPECTRUM_TOL, SWEEP_ANCHOR_STRIDE, SWEEP_ROUNDING,
-                         TAYLOR_THETA, exceeds_scaled, overruns)
+                         GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES, PROPAGATION_TOL,
+                         SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL, SWEEP_ANCHOR_STRIDE,
+                         SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled, overruns)
 
 
 def expm(m, t=1.0):
@@ -100,9 +101,7 @@ def _effective_segments(field, duration):
         )
     total = field.total_duration
     if overruns(duration, total):
-        raise ValueError(
-            "field covers [0, %g] but duration %g was requested" % (total, duration)
-        )
+        raise InputError("field covers [0, %g] but duration %g was requested" % (total, duration))
     segs = []
     left = duration
     for dur, values in field.segments:
@@ -137,23 +136,31 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     sample is checked for validity; the trace must hold to 1e-9 and
     Hermiticity/positivity to validity_tol, which must be positive and
     finite. The samples are checked together once computed; an error names
-    the first failing one. Amplitudes for which G(f) could overflow raise
-    ValueError before the first step, and so (as SampleGridError) does a
-    sample_dt not positive and finite or whose grid passes MAX_SAMPLE_BYTES.
+    the first failing one. Before the first step, InputError (a ValueError)
+    refuses a segment whose G(f) could overflow or whose Hamiltonian phase,
+    its duration times the largest entry bound of A0 + sum_m f_m A_m (the
+    dissipator left out), passes MAX_PHASE, and a sample_dt not positive and
+    finite or whose grid passes MAX_SAMPLE_BYTES.
     """
     if not 0.0 < validity_tol < np.inf:
-        raise ValueError("validity_tol must be positive and finite")
+        raise InputError("validity_tol must be positive and finite")
     if sample_dt is not None and not 0.0 < sample_dt < np.inf:
-        raise SampleGridError("sample_dt must be positive and finite, got %g" % sample_dt)
+        raise InputError("sample_dt must be positive and finite, got %g" % sample_dt)
     rho0 = np.asarray(rho0, dtype=complex)
     check_density(rho0)
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
-        raise ValueError("system, dissipation and state dimensions differ")
+        raise InputError("system, dissipation and state dimensions differ")
     segs = _effective_segments(field, duration)
     gens = np.array(affine_generator_set(sys, spec))
-    k = _first_overflow(gens, [v for _, v in segs])
-    if k is not None:
-        raise ValueError("segment %d: field amplitudes overflow the generator" % k)
+    ham, dis = _entry_bounds(gens, [v for _, v in segs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflow, phase = ~np.isfinite(ham + dis), np.array([d for d, _ in segs]) * ham
+    if overflow.any():
+        raise InputError("segment %d: field amplitudes overflow the generator" % overflow.argmax())
+    if (phase > MAX_PHASE).any():
+        k = (phase > MAX_PHASE).argmax()
+        raise InputError("segment %d: Hamiltonian phase %.3g passes the %g bound, past which "
+                         "exp(G t) keeps too few digits" % (k, phase[k], MAX_PHASE))
     if sample_dt is None:
         pieces = np.array(generator_pieces(sys, spec))
         sample_dt = default_sample_dt([_combine(pieces, v) for _, v in segs],
@@ -162,14 +169,15 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
         steps = np.maximum(1.0, np.ceil([d / sample_dt - GRID_STEP_SLACK for d, _ in segs]))
         samples = steps.sum() + 1.0
     if samples > MAX_SAMPLE_BYTES / (16 * sys.dim ** 2):
-        raise SampleGridError("sample_dt %g gives %.4g samples of %dx%d density matrices, past "
-                              "the %d MB bound" % (sample_dt, samples, sys.dim, sys.dim,
-                                                   MAX_SAMPLE_BYTES >> 20))
+        raise InputError("sample_dt %g gives %.4g samples of %dx%d density matrices, past the "
+                         "%d MB bound" % (sample_dt, samples, sys.dim, sys.dim,
+                                          MAX_SAMPLE_BYTES >> 20))
 
-    u = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)), np.trace(rho0).real)
-    times = [0.0]
-    us = [u]
-    t0 = 0.0
+    us = np.empty((int(samples), sys.dim ** 2))
+    times = np.zeros(len(us))
+    u = us[0] = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)),
+                          np.trace(rho0).real)
+    i, t0 = 0, 0.0
     for (dur, values), n in zip(segs, steps.astype(int).tolist()):
         gen = _combine(gens, values)
         h = dur / n
@@ -181,16 +189,14 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
             # segment, which is T_4(hG) exactly
             degree, p = 4, None
         for k in range(1, n + 1):
-            u = _taylor(gen, h, u, degree) if p is None else p @ u
-            us.append(u)
-            times.append(t0 + dur if k == n else t0 + k * h)
-        t0 += dur
-    us = np.array(us)
-    rhos = np.concatenate([rho0[None], density_from_coordinates(us[1:], sys.dim)])
+            u = us[i + k] = _taylor(gen, h, u, degree) if p is None else p @ u
+            times[i + k] = t0 + dur if k == n else t0 + k * h
+        i, t0 = i + n, t0 + dur
+    rhos = density_from_coordinates(us, sys.dim)
+    rhos[0] = rho0  # the state as given, not its rebuild from u
     if len(times) > 1:
         check_density(rhos[1:], validity_tol, times=times[1:])
-    return Trajectory(times=np.array(times, dtype=float), rho=rhos, bloch=us[:, :-1],
-                      trace_part=us[:, -1])
+    return Trajectory(times=times, rho=rhos, bloch=us[:, :-1], trace_part=us[:, -1])
 
 
 def _taylor(gen, t, u, degree):
@@ -252,10 +258,10 @@ def steady_state(sys, spec, f):
 
     Solves A v* = -b. A singular A means the fixed point is not unique
     (pure rotations, vanishing rates) and is reported as an error carrying
-    the null-space dimension. Non-finite amplitudes raise ValueError.
+    the null-space dimension. Non-finite amplitudes raise InputError.
     """
     if not np.all(np.isfinite(f)):
-        raise ValueError("field amplitudes must be finite")
+        raise InputError("field amplitudes must be finite")
     v, singular = _fixed_points(_combine(affine_generator_set(sys, spec), f)[None])
     if singular is not None:
         null_dim = singular[1]
@@ -375,22 +381,24 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     singular value is at or below SINGULAR_RATIO times the largest; SVDs at
     anchor amplitudes and Weyl's bound decide that for the points between,
     and a point the bound cannot prove non-singular gets its own SVD, so the
-    verdict equals the per-point rule. Raises ValueError naming the first
+    verdict equals the per-point rule. Raises InputError (a ValueError) for
+    fewer than 6 amplitudes, a control out of range, or naming the first
     non-finite amplitude or the first that may overflow the generator, and
     NonUniqueEquilibriumError naming the first amplitude whose A is singular.
     """
     amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
+    if amplitudes.size < 6:
+        raise InputError("insufficient samples: a conic fit needs at least 6 amplitudes")
     finite = np.isfinite(amplitudes)
     if not finite.all():
-        raise ValueError("non-finite amplitude %g" % amplitudes[np.argmin(finite)])
-    if amplitudes.size < 6:
-        raise ValueError("need at least 6 amplitudes for a conic fit")
+        raise InputError("sweep amplitudes must be finite: non-finite amplitude %g"
+                         % amplitudes[np.argmin(finite)])
     if not 0 <= control_index < sys.n_controls:
-        raise ValueError("control index %d out of range" % control_index)
+        raise InputError("sweep control index %d out of range" % control_index)
     gens = affine_generator_set(sys, spec)
     k = _first_overflow(gens, amplitudes[:, None] * np.eye(sys.n_controls)[control_index])
     if k is not None:
-        raise ValueError("amplitude %g overflows the generator" % amplitudes[k])
+        raise InputError("amplitude %g overflows the generator" % amplitudes[k])
     points, singular = _sweep_fixed_points(gens[0] + gens[-1], gens[control_index + 1],
                                            amplitudes)
     if singular is not None:

@@ -13,8 +13,8 @@ class ConfigError(BlochdynError):
     """A run configuration is malformed or internally inconsistent."""
 
 
-class SampleGridError(ConfigError, ValueError):
-    """sample_dt is not positive and finite, or sets a grid too large to hold."""
+class InputError(ConfigError, ValueError):
+    """An argument a library call refuses: a ValueError, and a config error (exit 2) in the CLI."""
 
 
 class PhysicsError(BlochdynError):

@@ -11,6 +11,7 @@ disjointness of control and dissipator supports.
 
 import numpy as np
 
+from .errors import InputError
 from .model import _check_hermitian, transition_frequency
 
 
@@ -114,7 +115,7 @@ def generator_pieces(sys, spec):
     constant amplitudes f is L(f) = L0 + sum_m f_m L_m + L_D.
     """
     if sys.dim != spec.dim:
-        raise ValueError("system and dissipation dimensions differ")
+        raise InputError("system and dissipation dimensions differ")
     # finite entries can still overflow in a commutator (H0 = diag(1e308,
     # -1e308)); that is reported here once rather than as warnings and NaN
     # states downstream
@@ -122,7 +123,7 @@ def generator_pieces(sys, spec):
         pieces = [commutator_superop(h, sys.hbar) for h in (sys.h0,) + sys.controls]
         pieces.append(build_dissipator(spec))
     if not all(np.isfinite(p).all() for p in pieces):
-        raise ValueError("generator pieces overflow: Hamiltonian or rates too large")
+        raise InputError("generator pieces overflow: Hamiltonian or rates too large")
     return pieces
 
 
@@ -134,31 +135,38 @@ def _combine(pieces, f):
     pieces = np.asarray(pieces)
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if f.size != len(pieces) - 2:
-        raise ValueError("expected %d field amplitudes, got %d" % (len(pieces) - 2, f.size))
+        raise InputError("expected %d field amplitudes, got %d" % (len(pieces) - 2, f.size))
     weights = np.concatenate(([1.0], f, [1.0]))
     return (weights @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
 
 
-def _first_overflow(pieces, amplitudes):
-    """Index of the first amplitude row f for which _combine(pieces, f) may overflow, else None.
+def _entry_bounds(pieces, amplitudes):
+    """(h, d), bounds on the entries of _combine(pieces, f) per amplitude row f.
 
-    Bounds max|_combine(pieces, f)| by sum_k |w_k| max|pieces[k]| with
-    w = (1, f, 1), so that one product per call finds an overflow before
-    any stepping or solve does.
+    h = max|pieces[0]| + sum_m |f_m| max|pieces[m]| bounds the Hamiltonian
+    part pieces[0] + sum_m f_m pieces[m], and d = max|pieces[-1]| the
+    dissipator, so h + d bounds the whole. One product per call serves the
+    overflow and phase checks, which run before any stepping or solve.
     """
     pieces = np.asarray(pieces)
     scale = np.abs(pieces).reshape(len(pieces), -1).max(axis=1)
     rows = np.abs(np.asarray(amplitudes, dtype=float).reshape(len(amplitudes), len(pieces) - 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = rows @ scale[1:-1] + (scale[0] + scale[-1])
-    bad = np.flatnonzero(~np.isfinite(bound))
+        return rows @ scale[1:-1] + scale[0], scale[-1]
+
+
+def _first_overflow(pieces, amplitudes):
+    """Index of the first amplitude row f for which _combine(pieces, f) may overflow, else None."""
+    h, d = _entry_bounds(pieces, amplitudes)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(h + d))
     return int(bad[0]) if bad.size else None
 
 
 def total_generator(sys, spec, f):
     """L(f) = L0 + sum_m f_m L_m + L_D from generator_pieces, for constant amplitudes f."""
     if not np.all(np.isfinite(f)):
-        raise ValueError("field amplitudes must be finite")
+        raise InputError("field amplitudes must be finite")
     return _combine(generator_pieces(sys, spec), f)
 
 

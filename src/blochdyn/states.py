@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnphysicalStateError
+from .errors import InputError, UnphysicalStateError
 from .tolerances import STATE_TRACE_TOL, VALIDITY_TOL
 
 
@@ -123,7 +123,7 @@ def check_density(rho, tol=VALIDITY_TOL, times=None):
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError("density matrix must be square")
+        raise InputError("density matrix must be square")
     herm, trace, mineig = _margins(rho.reshape((-1,) + rho.shape[-2:]))
     ok = (herm <= tol) & (trace <= STATE_TRACE_TOL) & (mineig >= -tol)
     if not ok.all():

@@ -49,9 +49,20 @@ SAMPLE_STEP_NORM = 0.1
 # so that rounding just above an integer adds no step
 GRID_STEP_SLACK = 1e-12
 # a grid whose density matrices (16 N^2 bytes a sample) pass this is refused:
-# 2^20 samples at N = 2, 2^16 at N = 8. propagate peaks at 6-8 times that
-# stack (92 MB of RSS for 12 MB at N = 2); benchmark calls hold up to 2 MB
+# 2^20 samples at N = 2, 2^16 at N = 8. One propagate call grows RSS by 4-5
+# times that stack (57 MB for 12.2 MB at N = 2, 79 MB for 19.5 MB at N = 8,
+# ru_maxrss); benchmark calls hold up to 2 MB
 MAX_SAMPLE_BYTES = 2 ** 26
+# a segment of duration d is refused when d times the bound on the largest
+# entry of A0 + sum_m f_m A_m, the Hamiltonian part of G(f), passes this:
+# rounding in exp(G d) grows with that phase. A relaxing qubit over 8 time
+# units (f = 0, exact z(8) = 0.596207, segments up to 4 long, sample_dt
+# 0.02-8) erred in z(8) by up to 8e-9/8e-8/6e-7/9e-6/8e-5/9e-3 at phases
+# 8e8/8e9/8e10/8e11/8e12/8e14, and returned the linearized 0.6 at 8e16. The
+# bound holds that error near PROPAGATION_TOL (1.4e-7 at 1e10); 2^53, where
+# the phase keeps no digits at all, would admit an error of 1e-2. The tests
+# reach phases up to 252, the benchmark inputs up to 44
+MAX_PHASE = 1e10
 # relative and absolute slack for a duration that overruns the field program
 DURATION_REL_SLACK = 1e-12
 DURATION_ABS_SLACK = 1e-15

@@ -569,6 +569,35 @@ def test_sweep_zero_dissipation_is_physics_error(tmp_path, capsys):
     assert "non-unique equilibrium at amplitude -2" in err
 
 
+def test_sweep_lets_library_faults_propagate(tmp_path, capsys, monkeypatch):
+    # only refused arguments (InputError) are config errors; a numerical
+    # failure inside the library is not one, and is not relabelled as one
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(dynamics, "_sweep_fixed_points", fail)
+    cfg_path = write_config(tmp_path, json.loads(template_text("driven_qubit")))
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "s.csv")])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("template", ["driven_qubit", "quasi_spin_qubit"])
+@pytest.mark.parametrize("energy", [1e16, 1e200])
+def test_phase_without_digits_is_a_config_error(tmp_path, capsys, template, energy):
+    # the piecewise template exited 0 with a linearized z(8), the sampled one
+    # exited 3 with "hermiticity nan" after a RuntimeWarning
+    doc = json.loads(template_text(template))
+    doc["system"]["energies"] = [energy, -energy]
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: segment 0: Hamiltonian phase ")
+    assert captured.err.endswith(" passes the 1e+10 bound, past which exp(G t) keeps too few "
+                                 "digits\n")
+    assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
+
 def test_sweep_requires_amplitudes_somewhere(tmp_path, capsys):
     cfg_path = write_config(tmp_path, make_doc())
     out = tmp_path / "s.csv"

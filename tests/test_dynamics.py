@@ -25,15 +25,16 @@ from blochdyn.dynamics import (
     steady_state_sweep,
 )
 from blochdyn.errors import (
+    ConfigError,
+    InputError,
     NonUniqueEquilibriumError,
-    SampleGridError,
     SemigroupDomainError,
     UnphysicalStateError,
 )
 from blochdyn.liouville import build_dissipator, generator_pieces, total_generator, vectorize
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
 from blochdyn.states import from_pure, to_coherence_vector
-from blochdyn.tolerances import TAYLOR_THETA
+from blochdyn.tolerances import PROPAGATION_TOL, TAYLOR_THETA
 from test_propagation_properties import admissible_system
 
 OMEGA = 1.4
@@ -227,7 +228,7 @@ def test_propagate_refuses_bad_sample_grids(dt):
     # the first step
     sys, spec = make_qubit()
     field = ControlField.constant([0.0, 0.0], duration=8.0)
-    with pytest.raises(SampleGridError, match="sample_dt") as err:
+    with pytest.raises(InputError, match="sample_dt") as err:
         propagate(sys, spec, field, from_pure([1, 0]), sample_dt=dt)
     assert isinstance(err.value, ValueError)
 
@@ -236,7 +237,7 @@ def test_default_grid_too_large_to_hold_is_refused():
     # rates of 1e12 give a default sample_dt near 1e-13
     sys, spec = make_qubit(BIG_GAMMA * 1e12, G12 * 1e12, G21 * 1e12)
     field = ControlField.constant([0.0, 0.0], duration=8.0)
-    with pytest.raises(SampleGridError, match="past the 64 MB bound"):
+    with pytest.raises(InputError, match="past the 64 MB bound"):
         propagate(sys, spec, field, from_pure([1, 0]))
 
 
@@ -266,6 +267,63 @@ def test_overflowing_amplitude_is_a_value_error(kind):
     field = ControlField(segments=((1.0, (0.1, 0.0)), (1.0, (1.5e308, 0.0))), kind=kind)
     with pytest.raises(ValueError, match="segment 1: field amplitudes overflow"):
         propagate(sys, spec, field, from_pure([1, 0]), sample_dt=0.1)
+
+
+def test_phase_bound_admits_accurate_runs_and_refuses_the_rest():
+    # f = 0 from the excited state: only relaxation moves z, so the exact
+    # z(8) does not depend on omega, while rounding in exp(G t) grows with
+    # the phase 8 omega. 8e9 is admitted and still accurate; 1.6e10 is
+    # refused before any step
+    field = ControlField.constant([0.0, 0.0], duration=8.0)
+    exact = free_decay_bloch((0.0, 0.0, -1.0), 8.0)[2]
+    sys, spec = make_qubit(omega=1e9)
+    traj = propagate(sys, spec, field, from_pure([0, 1]), sample_dt=0.02)
+    assert traj.bloch[0, 2] == -1.0
+    assert abs(traj.bloch[-1, 2] - exact) < PROPAGATION_TOL
+    sys, spec = make_qubit(omega=2e9)
+    with pytest.raises(InputError, match="segment 0: Hamiltonian phase 1.6e\\+10 passes the "
+                                         "1e\\+10 bound"):
+        propagate(sys, spec, field, from_pure([0, 1]), sample_dt=0.02)
+
+
+@pytest.mark.parametrize("template, kind", [("driven_qubit", "piecewise"),
+                                            ("quasi_spin_qubit", "sampled")])
+@pytest.mark.parametrize("energy", [1e16, 1e200])
+def test_phase_without_digits_is_refused(template, kind, energy):
+    # the piecewise route returned the linearized z(8) = 0.6000000000000013
+    # at 1e16, the sampled route NaN states after overflow warnings at 1e200
+    cfg = load_template(template)
+    sys = ControlSystem(h0=np.diag([energy, -energy]).astype(complex),
+                        controls=cfg.system.controls)
+    assert cfg.field.kind == kind
+    with pytest.raises(InputError, match="segment 0: Hamiltonian phase .* passes the 1e\\+10"):
+        propagate(sys, cfg.dissipation, cfg.field, cfg.rho0, sample_dt=cfg.sample_dt)
+
+
+def _refused_call(case):
+    sys, spec = make_qubit()
+    field = ControlField.constant([0.0, 0.0], duration=1.0)
+    amps = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+    if case == "validity_tol":
+        return propagate(sys, spec, field, from_pure([1, 0]), validity_tol=0.0)
+    if case == "overflowing_segment":
+        overflow = ControlField(segments=((1.0, (0.1, 0.0)), (1.0, (1.5e308, 0.0))))
+        return propagate(sys, spec, overflow, from_pure([1, 0]), sample_dt=0.1)
+    if case == "non_finite_amplitude":
+        return steady_state_sweep(sys, spec, 0, amps[:3] + [np.nan] + amps[3:])
+    if case == "too_few_amplitudes":
+        return steady_state_sweep(sys, spec, 0, amps[:5])
+    return steady_state_sweep(sys, spec, 5, amps)
+
+
+@pytest.mark.parametrize("case", ["validity_tol", "overflowing_segment", "non_finite_amplitude",
+                                  "too_few_amplitudes", "control_out_of_range"])
+def test_refused_arguments_raise_one_error_class(case):
+    # a ValueError to library callers and a config error to the CLI, which
+    # reports it (exit 2) by its class and checks nothing itself
+    with pytest.raises(InputError) as err:
+        _refused_call(case)
+    assert isinstance(err.value, ConfigError) and isinstance(err.value, ValueError)
 
 
 def test_degree_four_taylor_step_is_the_classical_rk4_step():
