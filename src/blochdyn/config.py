@@ -8,10 +8,10 @@ and control indices 0-based.
 The schema file is the one source of truth, read by a small walker that
 implements the draft-07 keywords it uses: type, required, properties,
 additionalProperties (false), items, minItems/maxItems,
-minProperties/maxProperties, enum, minimum, exclusiveMinimum and $ref into
-#/definitions. description and default are annotations. As in draft-07, a
-bool is not a number and 2.0 is an integer; integer fields are converted
-with int() once the document is valid.
+minProperties/maxProperties, enum, minimum, maximum, exclusiveMinimum and
+$ref into #/definitions. description and default are annotations. As in
+draft-07, a bool is not a number and 2.0 is an integer; integer fields are
+converted with int() once the document is valid.
 """
 
 import json
@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import affine_generator_set
 from .errors import ConfigError
-from .liouville import _first_overflow
+from .liouville import _admit
 from .model import ControlField, ControlSystem, DissipationSpec, dipole_coupling
 from .states import CoherenceVector, check_density, from_coherence_vector, from_pure
 from .tolerances import overruns
@@ -66,6 +66,8 @@ def _schema_errors(node, schema, root, path=()):
     if _is_number(node):
         if "minimum" in schema and node < schema["minimum"]:
             yield path, "%r is less than the minimum of %r" % (node, schema["minimum"])
+        if "maximum" in schema and node > schema["maximum"]:
+            yield path, "%r is greater than the maximum of %r" % (node, schema["maximum"])
         if "exclusiveMinimum" in schema and node <= schema["exclusiveMinimum"]:
             yield path, "%r is not greater than %r" % (node, schema["exclusiveMinimum"])
     elif isinstance(node, (list, dict)):
@@ -192,17 +194,10 @@ def parse_config(doc):
         )
     except ValueError as exc:
         raise ConfigError("field: %s" % exc) from exc
-    if field.n_controls != system.n_controls:
-        raise ConfigError(
-            "field segments carry %d amplitudes but the system has %d controls"
-            % (field.n_controls, system.n_controls)
-        )
     # finite numbers can still overflow the generator; found here, before
     # any stepping, and not as warnings and NaN states later
     gens = affine_generator_set(system, spec)
-    k = _first_overflow(gens, [values for _, values in field.segments])
-    if k is not None:
-        raise ConfigError("field.segments[%d]: amplitudes overflow the generator" % k)
+    _admit(gens, [values for _, values in field.segments], lambda k: "field.segments[%d]" % k)
 
     rho0 = _initial_state(doc["initial"], levels)
 
@@ -227,10 +222,9 @@ def parse_config(doc):
                 % (sweep_control, system.n_controls)
             )
         sweep_amplitudes = np.asarray(sweepdoc["amplitudes"], dtype=float)
-        k = _first_overflow(
-            gens, sweep_amplitudes[:, None] * np.eye(system.n_controls)[sweep_control])
-        if k is not None:
-            raise ConfigError("sweep.amplitudes[%d]: amplitude overflows the generator" % k)
+        rows = np.zeros((sweep_amplitudes.size, system.n_controls))
+        rows[:, sweep_control] = sweep_amplitudes
+        _admit(gens, rows, lambda k: "sweep.amplitudes[%d]" % k)
 
     return RunConfig(
         system=system,

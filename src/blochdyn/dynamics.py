@@ -13,9 +13,10 @@ is the least degree whose bound theta_m covers h norm(G, 1) (Al-Mohy &
 Higham), and p is formed for three or more steps or past the last bound,
 theta_55. exp(G t) itself is formed by scaling and squaring the same Taylor
 polynomial (Higham 2005), so numpy is the only dependency. Forward time is
-enforced; amplitudes that would overflow G(f), Hamiltonian phases too large
-to keep digits and grids too large to hold are refused (InputError) before
-the first step, and every sample passes one validity check.
+enforced; amplitude rows that liouville._admit refuses, Hamiltonian phases
+too large to keep digits, grids too large to hold and RK4 steps past their
+stability bound are refused (InputError) before the first step, and every
+sample passes one validity check.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -34,12 +35,13 @@ import numpy as np
 from .algebra import affine_generator_set
 from .bloch import AffineGenerator
 from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
-from .liouville import _combine, _entry_bounds, _first_overflow, generator_pieces, vectorize
+from .liouville import _admit, _combine, vectorize
 from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
 from .tolerances import (CONIC_DISCRIMINANT_TOL, DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE,
                          GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES, PROPAGATION_TOL,
-                         SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL, SWEEP_ANCHOR_STRIDE,
-                         SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled, overruns)
+                         RK4_STEP_BOUND, SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL,
+                         SWEEP_ANCHOR_STRIDE, SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled,
+                         overruns)
 
 
 def expm(m, t=1.0):
@@ -115,8 +117,15 @@ def _effective_segments(field, duration):
 
 
 def default_sample_dt(generators, total_duration):
-    """Largest dt with norm(L) dt <= SAMPLE_STEP_NORM across the given generators."""
-    worst = max((float(np.linalg.norm(g)) for g in generators), default=0.0)
+    """Largest dt with norm(L) dt <= SAMPLE_STEP_NORM across the given affine generators.
+
+    G = [[A, b], [0, 0]] is L written in the orthonormal basis (g_a / sqrt 2,
+    I / sqrt N) once b is scaled by sqrt(N / 2), so the Frobenius norm of L
+    is sqrt(norm(A)^2 + (N / 2) norm(b)^2), read here without forming L.
+    """
+    with np.errstate(over="ignore"):  # an infinite norm gives dt = 0, which propagate refuses
+        worst = max((np.sum(g[:-1, :-1] ** 2) + np.sqrt(len(g)) / 2 * np.sum(g[:-1, -1] ** 2)
+                     for g in generators), default=0.0) ** 0.5
     if worst == 0.0:
         return total_duration
     return min(total_duration, SAMPLE_STEP_NORM / worst)
@@ -137,10 +146,11 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     Hermiticity/positivity to validity_tol, which must be positive and
     finite. The samples are checked together once computed; an error names
     the first failing one. Before the first step, InputError (a ValueError)
-    refuses a segment whose G(f) could overflow or whose Hamiltonian phase,
-    its duration times the largest entry bound of A0 + sum_m f_m A_m (the
-    dissipator left out), passes MAX_PHASE, and a sample_dt not positive and
-    finite or whose grid passes MAX_SAMPLE_BYTES.
+    refuses a segment whose amplitudes _admit refuses or whose Hamiltonian
+    phase, its duration times the largest entry bound of A0 + sum_m f_m A_m
+    (the dissipator left out), passes MAX_PHASE; a sample_dt not positive
+    and finite or whose grid passes MAX_SAMPLE_BYTES; and, for sampled
+    fields, a segment whose RK4 step passes RK4_STEP_BOUND.
     """
     if not 0.0 < validity_tol < np.inf:
         raise InputError("validity_tol must be positive and finite")
@@ -152,26 +162,27 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
         raise InputError("system, dissipation and state dimensions differ")
     segs = _effective_segments(field, duration)
     gens = np.array(affine_generator_set(sys, spec))
-    ham, dis = _entry_bounds(gens, [v for _, v in segs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        overflow, phase = ~np.isfinite(ham + dis), np.array([d for d, _ in segs]) * ham
-    if overflow.any():
-        raise InputError("segment %d: field amplitudes overflow the generator" % overflow.argmax())
+    rows = [v for _, v in segs]
+    ham = _admit(gens, rows, lambda k: "segment %d" % k)
+    durations = np.array([d for d, _ in segs])
+    with np.errstate(over="ignore"):
+        phase = durations * ham
     if (phase > MAX_PHASE).any():
         k = (phase > MAX_PHASE).argmax()
         raise InputError("segment %d: Hamiltonian phase %.3g passes the %g bound, past which "
                          "exp(G t) keeps too few digits" % (k, phase[k], MAX_PHASE))
     if sample_dt is None:
-        pieces = np.array(generator_pieces(sys, spec))
-        sample_dt = default_sample_dt([_combine(pieces, v) for _, v in segs],
-                                      sum(d for d, _ in segs) or 1.0)
-    with np.errstate(over="ignore"):  # a count that overflows is refused below
-        steps = np.maximum(1.0, np.ceil([d / sample_dt - GRID_STEP_SLACK for d, _ in segs]))
+        sample_dt = default_sample_dt([_combine(gens, v) for v in rows],
+                                      durations.sum() or 1.0)
+    with np.errstate(over="ignore", divide="ignore"):  # a count that overflows is refused below
+        steps = np.maximum(1.0, np.ceil(durations / sample_dt - GRID_STEP_SLACK))
         samples = steps.sum() + 1.0
     if samples > MAX_SAMPLE_BYTES / (16 * sys.dim ** 2):
         raise InputError("sample_dt %g gives %.4g samples of %dx%d density matrices, past the "
                          "%d MB bound" % (sample_dt, samples, sys.dim, sys.dim,
                                           MAX_SAMPLE_BYTES >> 20))
+    if field.kind == "sampled" and segs:
+        _check_rk4_steps(gens, np.array(rows), durations / steps)
 
     us = np.empty((int(samples), sys.dim ** 2))
     times = np.zeros(len(us))
@@ -197,6 +208,31 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     if len(times) > 1:
         check_density(rhos[1:], validity_tol, times=times[1:])
     return Trajectory(times=times, rho=rhos, bloch=us[:, :-1], trace_part=us[:, -1])
+
+
+def _check_rk4_steps(gens, rows, h):
+    """Refuse, before any step, segments whose RK4 step h_k rho(A(f_k)) passes RK4_STEP_BOUND.
+
+    rho(A) <= norm(G, 1) <= sum_j |w_j| norm(P_j, 1) with w = (1, f, 1) and
+    P_j the affine pieces, so one product over the stack clears most
+    segments; only those it leaves get their eigenvalues. The error names
+    the first refused segment and a sample_dt, rounded down to three
+    digits, that admits every segment.
+    """
+    norms = np.abs(gens).sum(axis=1).max(axis=1)
+    suspects = np.flatnonzero(h * (np.abs(rows) @ norms[1:-1] + norms[0] + norms[-1])
+                              > RK4_STEP_BOUND)
+    radii = np.array([np.abs(np.linalg.eigvals(_combine(gens, rows[k])[:-1, :-1])).max()
+                      for k in suspects])
+    refused = h[suspects] * radii > RK4_STEP_BOUND
+    if refused.any():
+        first = refused.argmax()
+        dt = RK4_STEP_BOUND / radii[refused].max()
+        unit = 10.0 ** (np.floor(np.log10(dt)) - 2)
+        raise InputError("segment %d: RK4 step %.3g times the spectral radius %.3g of A(f) passes "
+                         "the %g stability bound; sample_dt %.3g or less admits every segment"
+                         % (suspects[first], h[suspects[first]], radii[first], RK4_STEP_BOUND,
+                            np.floor(dt / unit) * unit))
 
 
 def _taylor(gen, t, u, degree):
@@ -258,11 +294,11 @@ def steady_state(sys, spec, f):
 
     Solves A v* = -b. A singular A means the fixed point is not unique
     (pure rotations, vanishing rates) and is reported as an error carrying
-    the null-space dimension. Non-finite amplitudes raise InputError.
+    the null-space dimension. Amplitudes _admit refuses raise InputError.
     """
-    if not np.all(np.isfinite(f)):
-        raise InputError("field amplitudes must be finite")
-    v, singular = _fixed_points(_combine(affine_generator_set(sys, spec), f)[None])
+    gens = affine_generator_set(sys, spec)
+    _admit(gens, [np.atleast_1d(f)], lambda k: "f")
+    v, singular = _fixed_points(_combine(gens, f)[None])
     if singular is not None:
         null_dim = singular[1]
         raise NonUniqueEquilibriumError(
@@ -383,22 +419,18 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     and a point the bound cannot prove non-singular gets its own SVD, so the
     verdict equals the per-point rule. Raises InputError (a ValueError) for
     fewer than 6 amplitudes, a control out of range, or naming the first
-    non-finite amplitude or the first that may overflow the generator, and
-    NonUniqueEquilibriumError naming the first amplitude whose A is singular.
+    amplitude that _admit refuses, and NonUniqueEquilibriumError naming the
+    first amplitude whose A is singular.
     """
     amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
     if amplitudes.size < 6:
         raise InputError("insufficient samples: a conic fit needs at least 6 amplitudes")
-    finite = np.isfinite(amplitudes)
-    if not finite.all():
-        raise InputError("sweep amplitudes must be finite: non-finite amplitude %g"
-                         % amplitudes[np.argmin(finite)])
     if not 0 <= control_index < sys.n_controls:
         raise InputError("sweep control index %d out of range" % control_index)
     gens = affine_generator_set(sys, spec)
-    k = _first_overflow(gens, amplitudes[:, None] * np.eye(sys.n_controls)[control_index])
-    if k is not None:
-        raise InputError("amplitude %g overflows the generator" % amplitudes[k])
+    rows = np.zeros((amplitudes.size, sys.n_controls))
+    rows[:, control_index] = amplitudes
+    _admit(gens, rows, lambda k: "amplitude %g" % amplitudes[k])
     points, singular = _sweep_fixed_points(gens[0] + gens[-1], gens[control_index + 1],
                                            amplitudes)
     if singular is not None:

@@ -34,7 +34,11 @@ def devectorize(v):
 
 def commutator_superop(h, hbar=1.0):
     """Matrix of rho -> (1/i hbar)(H rho - rho H) on row-stacked vectors."""
-    h = _check_hermitian(h, "H")
+    return _commutator(_check_hermitian(h, "H"), hbar)
+
+
+def _commutator(h, hbar):
+    """commutator_superop of an h already checked, as every ControlSystem matrix is."""
     dim = h.shape[0]
     eye = np.eye(dim)
     # entry (ij, kl) is H[i, k] delta[j, l] - delta[i, k] H[l, j]
@@ -120,7 +124,7 @@ def generator_pieces(sys, spec):
     # -1e308)); that is reported here once rather than as warnings and NaN
     # states downstream
     with np.errstate(over="ignore", invalid="ignore"):
-        pieces = [commutator_superop(h, sys.hbar) for h in (sys.h0,) + sys.controls]
+        pieces = [_commutator(h, sys.hbar) for h in (sys.h0,) + sys.controls]
         pieces.append(build_dissipator(spec))
     if not all(np.isfinite(p).all() for p in pieces):
         raise InputError("generator pieces overflow: Hamiltonian or rates too large")
@@ -130,44 +134,48 @@ def generator_pieces(sys, spec):
 def _combine(pieces, f):
     """pieces[0] + sum_m f_m pieces[m] + pieces[-1] for a stack of M + 2 pieces.
 
-    Serves the complex pieces and their real affine embeddings alike.
+    Serves the complex pieces and their real affine embeddings alike; the
+    amplitudes are those _admit has passed.
     """
     pieces = np.asarray(pieces)
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if f.size != len(pieces) - 2:
-        raise InputError("expected %d field amplitudes, got %d" % (len(pieces) - 2, f.size))
-    weights = np.concatenate(([1.0], f, [1.0]))
+    weights = np.concatenate(([1.0], np.atleast_1d(f), [1.0]))
     return (weights @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
 
 
-def _entry_bounds(pieces, amplitudes):
-    """(h, d), bounds on the entries of _combine(pieces, f) per amplitude row f.
+def _admit(pieces, rows, name):
+    """Entry bounds of the Hamiltonian parts of _combine(pieces, f), one per amplitude row f.
 
-    h = max|pieces[0]| + sum_m |f_m| max|pieces[m]| bounds the Hamiltonian
-    part pieces[0] + sum_m f_m pieces[m], and d = max|pieces[-1]| the
-    dissipator, so h + d bounds the whole. One product per call serves the
-    overflow and phase checks, which run before any stepping or solve.
+    Every caller runs this before it weights the stack. The bound for a row
+    is max|pieces[0]| + sum_m |f_m| max|pieces[m]|, and adding max|pieces[-1]|
+    bounds every entry of the whole, so one product per call serves the
+    overflow check here and the phase check in propagate. InputError refuses
+    the first row with other than len(pieces) - 2 amplitudes, a non-finite
+    amplitude, or a bound that overflows, named by name(k) for row k.
     """
     pieces = np.asarray(pieces)
-    scale = np.abs(pieces).reshape(len(pieces), -1).max(axis=1)
-    rows = np.abs(np.asarray(amplitudes, dtype=float).reshape(len(amplitudes), len(pieces) - 2))
+    width = len(pieces) - 2
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) and rows.shape[1:] != (width,):
+        raise InputError("%s: expected %d field amplitudes, got %d"
+                         % (name(0), width, rows[0].size))
+    scale = np.abs(pieces).max(axis=(1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        return rows @ scale[1:-1] + scale[0], scale[-1]
-
-
-def _first_overflow(pieces, amplitudes):
-    """Index of the first amplitude row f for which _combine(pieces, f) may overflow, else None."""
-    h, d = _entry_bounds(pieces, amplitudes)
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(h + d))
-    return int(bad[0]) if bad.size else None
+        # a non-finite amplitude makes its bound inf or NaN, against a zero piece too
+        ham = (np.abs(rows.reshape(len(rows), width)) * scale[1:-1]).sum(axis=1) + scale[0]
+        ok = np.isfinite(ham + scale[-1])
+    if not ok.all():
+        k = int(ok.argmin())
+        raise InputError("%s: field amplitudes %s" % (name(k), "overflow the generator"
+                                                      if np.isfinite(rows[k]).all()
+                                                      else "must be finite"))
+    return ham
 
 
 def total_generator(sys, spec, f):
     """L(f) = L0 + sum_m f_m L_m + L_D from generator_pieces, for constant amplitudes f."""
-    if not np.all(np.isfinite(f)):
-        raise InputError("field amplitudes must be finite")
-    return _combine(generator_pieces(sys, spec), f)
+    pieces = np.array(generator_pieces(sys, spec))
+    _admit(pieces, [np.atleast_1d(f)], lambda k: "f")
+    return _combine(pieces, f)
 
 
 def trace_residual(superop):

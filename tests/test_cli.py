@@ -172,10 +172,10 @@ def _mutations(doc, schema):
                 yield _replaced(doc, path + (key,), drop=True)
             yield _replaced(doc, path + ("unexpected",), 1.0)
         sub = _subschema(schema, path)
-        for keyword in ("minimum", "exclusiveMinimum"):
+        for keyword, step in (("minimum", -1), ("exclusiveMinimum", -1), ("maximum", 1)):
             if keyword in sub:
                 bound = sub[keyword]
-                for value in (bound, float(bound), bound + 0.5, bound - 0.5, bound - 1):
+                for value in (bound, float(bound), bound + 0.5, bound - 0.5, bound + step):
                     yield _replaced(doc, path, value)
     initial = doc["initial"]
     yield _replaced(doc, ("initial",), {})
@@ -218,7 +218,7 @@ def test_schema_walker_agrees_with_jsonschema():
 # what the walker implements, and the annotations it ignores
 HANDLED_KEYWORDS = {"type", "required", "properties", "additionalProperties", "items",
                     "minItems", "maxItems", "minProperties", "maxProperties", "enum",
-                    "minimum", "exclusiveMinimum", "$ref"}
+                    "minimum", "maximum", "exclusiveMinimum", "$ref"}
 ANNOTATIONS = {"description", "default", "title", "$schema", "definitions"}
 
 
@@ -291,13 +291,15 @@ def test_overflowing_sweep_amplitude_is_a_config_error(tmp_path, capsys):
     for command in ("simulate", "analyze", "sweep"):
         assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "config error: sweep.amplitudes[2]: amplitude overflows the generator\n"
+        assert captured.err == ("config error: sweep.amplitudes[2]: field amplitudes overflow "
+                                "the generator\n")
         assert captured.out == ""
     cfg_path = write_config(tmp_path, json.loads(template_text("quasi_spin_qubit")))
     assert main(["sweep", "--config", cfg_path, "--out", str(out),
                  "--amplitudes=0,1,2,-1.5e308,3,4"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "config error: amplitude -1.5e+308 overflows the generator\n"
+    assert captured.err == ("config error: amplitude -1.5e+308: field amplitudes overflow the "
+                            "generator\n")
     assert captured.out == "" and not out.exists()
 
 
@@ -598,6 +600,55 @@ def test_phase_without_digits_is_a_config_error(tmp_path, capsys, template, ener
     assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("energies, sample_dt, first, admitted", [
+    ([0.0, 10.0], 0.34, "segment 0: RK4 step 0.333 times the spectral radius 10.2 ", "0.147"),
+    ([0.0, 10.0], 0.25, "segment 0: RK4 step 0.25 times the spectral radius 10.2 ", "0.147"),
+    ([1e9, -1e9], 0.01, "segment 0: RK4 step 0.01 times the spectral radius 2e+09 ", "7.49e-10"),
+], ids=["dt0.34", "dt0.25", "energies1e9"])
+def test_rk4_step_past_the_stability_bound_is_a_config_error(tmp_path, capfd, energies,
+                                                             sample_dt, first, admitted):
+    # without the bound, 0.34 exited 3 ("state left the physical set"), 0.25
+    # exited 0 with a final x of 1.2e-7 against -0.119, and +-1e9 warned of
+    # an overflow in matmul before exit 3
+    doc = json.loads(template_text("quasi_spin_qubit"))
+    doc["system"]["energies"] = energies
+    doc["run"]["sample_dt"] = sample_dt
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert capfd.readouterr() == ("", "config error: %sof A(f) passes the 1.5 stability bound; "
+                                      "sample_dt %s or less admits every segment\n"
+                                      % (first, admitted))
+    assert not out.exists()
+    doc["run"]["sample_dt"] = float(admitted)
+    if energies[1] == 10.0:
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+
+
+def _ladder_doc(levels):
+    """A config of a relaxing ladder with the given number of levels."""
+    rates = np.full((levels, levels), 0.1) - 0.1 * np.eye(levels)
+    return {
+        "system": {"levels": levels, "energies": list(range(levels)),
+                   "dipoles": [{"levels": [0, 1], "moment": 1.0}]},
+        "dissipation": {"dephasing": (2 * rates).tolist(), "relaxation": rates.tolist()},
+        "field": {"segments": [{"duration": 0.1, "values": [0.5]}]},
+        "initial": {"pure": [[1.0, 0.0]] + [[0.0, 0.0]] * (levels - 1)},
+        "sweep": {"control": 0, "amplitudes": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]},
+    }
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
+def test_more_than_eight_levels_is_a_config_error(tmp_path, capsys, command):
+    # the north star supports N up to 8; the library itself takes any N
+    assert parse_config(_ladder_doc(8)).system.dim == 8
+    out = tmp_path / "x.out"
+    assert main([command, "--config", write_config(tmp_path, _ladder_doc(9)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: config field system/levels: 9 is greater than the maximum of 8\n")
+    assert not out.exists()
+
+
 def test_sweep_requires_amplitudes_somewhere(tmp_path, capsys):
     cfg_path = write_config(tmp_path, make_doc())
     out = tmp_path / "s.csv"
@@ -610,7 +661,8 @@ def test_sweep_non_finite_amplitude_flag_is_config_error(tmp_path, capsys, bad):
     cfg_path = write_config(tmp_path, make_doc())
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "s.csv"),
                  "--control", "0", "--amplitudes", "0,1,2,%s,3,4" % bad]) == 2
-    assert "sweep amplitudes must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: amplitude %s: field amplitudes must be finite\n" % bad)
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blochdyn import dynamics
+from blochdyn import algebra, dynamics, liouville
 from blochdyn.algebra import affine_generator_set
 from blochdyn.bloch import ball_containment, to_affine
 from blochdyn.config import load_template
@@ -31,7 +31,8 @@ from blochdyn.errors import (
     SemigroupDomainError,
     UnphysicalStateError,
 )
-from blochdyn.liouville import build_dissipator, generator_pieces, total_generator, vectorize
+from blochdyn.liouville import (_combine, build_dissipator, generator_pieces, total_generator,
+                                vectorize)
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
 from blochdyn.states import from_pure, to_coherence_vector
 from blochdyn.tolerances import PROPAGATION_TOL, TAYLOR_THETA
@@ -241,11 +242,80 @@ def test_default_grid_too_large_to_hold_is_refused():
         propagate(sys, spec, field, from_pure([1, 0]))
 
 
+def test_default_grid_of_rates_whose_norm_overflows_is_refused():
+    # norm(L) of rates 1e160 overflows: the default sample_dt is 0, which the
+    # grid check refuses, with no overflow warning or ZeroDivisionError first
+    sys, spec = make_qubit(1e160, 1e160, 1e160)
+    field = ControlField.constant([0.0, 0.0], duration=1.0)
+    with pytest.raises(InputError, match="^sample_dt 0 gives inf samples .* past the 64 MB bound"):
+        propagate(sys, spec, field, from_pure([1, 0]))
+
+
 def test_default_sample_dt_scales_with_generator_norm():
+    # it reads norm(L, 'fro') = sqrt(norm(A)^2 + (N / 2) norm(b)^2) from the
+    # affine G = [[A, b], [0, 0]] that propagate holds, without forming L
+    rng = np.random.default_rng(15)
+    for dim in (2, 3, 4, 5, 8):
+        sys, spec = admissible_system(rng, dim)
+        f = rng.uniform(-1.0, 1.0, sys.n_controls)
+        gen = _combine(np.array(affine_generator_set(sys, spec)), f)
+        norm = np.linalg.norm(total_generator(sys, spec, f))
+        assert default_sample_dt([gen], 10.0) == pytest.approx(0.1 / norm, rel=1e-14)
+        assert default_sample_dt([gen, 10.0 * gen], 10.0) == pytest.approx(0.01 / norm, rel=1e-14)
+
+
+def test_propagate_builds_the_generator_once_without_sample_dt(monkeypatch):
+    # the default grid reads norm(L) from the affine stack propagate already
+    # holds, with no second build of the complex pieces
+    builds = []
+    build = liouville.generator_pieces
+
+    def counted(sys_, spec_):
+        builds.append(sys_)
+        return build(sys_, spec_)
+
+    for module in (liouville, algebra, dynamics):
+        if hasattr(module, "generator_pieces"):
+            monkeypatch.setattr(module, "generator_pieces", counted)
     sys, spec = make_qubit()
-    small = default_sample_dt([total_generator(sys, spec, (0.0, 0.0))], 10.0)
-    big = default_sample_dt([10.0 * total_generator(sys, spec, (0.0, 0.0))], 10.0)
-    assert small > big > 0
+    propagate(sys, spec, ControlField.constant([0.3, 0.1], duration=2.0), from_pure([1, 0]))
+    assert len(builds) == 1
+
+
+def _sampled_run(sample_dt, energies=(0.0, 10.0)):
+    cfg = load_template("quasi_spin_qubit")
+    sys = ControlSystem(h0=np.diag(energies).astype(complex), controls=cfg.system.controls)
+    return propagate(sys, cfg.dissipation, cfg.field, cfg.rho0, sample_dt=sample_dt)
+
+
+def test_rk4_step_past_the_stability_bound_is_refused():
+    # h rho(A) = 2.04 at sample_dt 0.2 on the first segment, whose A has
+    # spectral radius 10.2; 1.5 / 10.2 = 0.1471 admits it, and the final
+    # state then errs by 0.10 against sample_dt 0.01
+    with pytest.raises(InputError, match="^segment 0: RK4 step 0.2 times the spectral radius "
+                                         "10.2 of A\\(f\\) passes the 1.5 stability bound; "
+                                         "sample_dt 0.147 or less admits every segment$"):
+        _sampled_run(0.2)
+    reference = _sampled_run(0.01).bloch[-1]
+    assert np.abs(_sampled_run(0.147).bloch[-1] - reference).max() < 0.15
+
+
+def test_cheap_rk4_bound_spares_the_eigenvalues(monkeypatch):
+    # the bound on h norm(G, 1), one product over the stack, clears every
+    # segment of the shipped template. At sample_dt 0.5 it is 1.85/1.61/
+    # 1.37/0.85 per segment, so the first two take an eigenvalue solve and
+    # pass with h rho(A) = 1.25/0.98; the exact route takes none
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(dynamics.np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+    cfg = load_template("quasi_spin_qubit")
+    propagate(cfg.system, cfg.dissipation, cfg.field, cfg.rho0, sample_dt=cfg.sample_dt)
+    assert len(calls) == 0
+    propagate(cfg.system, cfg.dissipation, cfg.field, cfg.rho0, sample_dt=0.5)
+    assert len(calls) == 2
+    exact = ControlField(segments=cfg.field.segments, kind="piecewise")
+    propagate(cfg.system, cfg.dissipation, exact, cfg.rho0, sample_dt=0.5)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", ["piecewise", "sampled"])
@@ -629,7 +699,8 @@ def test_sweep_validation():
 
 def test_overflowing_sweep_amplitude_is_a_value_error():
     cfg = load_template("quasi_spin_qubit")
-    with pytest.raises(ValueError, match="amplitude 1.5e\\+308 overflows the generator"):
+    with pytest.raises(ValueError, match="amplitude 1.5e\\+308: field amplitudes overflow the "
+                                         "generator"):
         steady_state_sweep(cfg.system, cfg.dissipation, 1, [0.0, 1.0, 1.5e308, 2.0, 3.0, 4.0])
     # a large amplitude inside the bound reaches the verdict without warnings
     with pytest.raises(NonUniqueEquilibriumError, match="amplitude 5.0000000000000001e\\+307"):
@@ -665,7 +736,7 @@ def test_conic_kind_is_scale_aware(coeffs, kind, scale):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_amplitudes_rejected_before_solving(bad):
     cfg = load_template("driven_qubit")
-    with pytest.raises(ValueError, match="non-finite amplitude %g" % bad):
+    with pytest.raises(ValueError, match="amplitude %g: field amplitudes must be finite" % bad):
         steady_state_sweep(cfg.system, cfg.dissipation, 0, [0.0, 1.0, 2.0, bad, 3.0, 4.0])
     with pytest.raises(ValueError, match="must be finite"):
         steady_state(cfg.system, cfg.dissipation, (bad, 0.0))

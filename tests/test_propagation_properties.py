@@ -19,7 +19,7 @@ from blochdyn.bloch import to_affine
 from blochdyn.dynamics import propagate, steady_state
 from blochdyn.liouville import build_dissipator, commutator_superop, vectorize
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec
-from blochdyn.tolerances import GRID_STEP_SLACK
+from blochdyn.tolerances import GRID_STEP_SLACK, RK4_STEP_BOUND, SAMPLE_STEP_NORM
 
 PROPERTIES = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -177,6 +177,21 @@ def test_rk4_route_matches_product_of_exponentials(dim, seed):
                      sample_dt=0.05 / scale)
     expected = product_of_exponentials(sys, spec, segments, rho0)
     assert np.max(np.abs(traj.rho[-1] - expected)) <= 1e-6
+
+
+@PROPERTIES
+@given(**CASES, log_scale=st.floats(0.0, 1.5))
+def test_default_grid_passes_the_rk4_bound(dim, seed, log_scale):
+    # h rho(A) <= h norm(A, 2) <= h norm(L, 'fro') <= SAMPLE_STEP_NORM, which is
+    # below RK4_STEP_BOUND, so a sampled field on the default grid is never refused
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, dim)
+    segments = tuple((d, 10.0 ** log_scale * v) for d, v in random_segments(rng, dim - 1))
+    traj = propagate(sys, spec, ControlField(segments=segments, kind="sampled"),
+                     random_state(rng, dim))
+    radius = max(np.abs(np.linalg.eigvals(reference_generator(sys, spec, v))).max()
+                 for _, v in segments)
+    assert np.diff(traj.times).max() * radius <= SAMPLE_STEP_NORM * (1.0 + 1e-9) < RK4_STEP_BOUND
 
 
 @PROPERTIES
