@@ -7,16 +7,20 @@ weight them by (1, f_1..f_M, 1) into G(f) = [[A(f), b(f)], [0, 0]].
 States are stepped as real coordinates u = (v, tr rho) under G(f) on one
 grid for both field kinds: a segment of duration d takes n = ceil(d / dt)
 equal steps h = d / n, each either T_m(hG) u, a Taylor polynomial, or p u
-with p = exp(G h) formed once per segment. Sampled fields take m = 4, the
-classical RK4 step under a held G. Piecewise fields are stepped exactly: m
-is the least degree whose bound theta_m covers h norm(G, 1) (Al-Mohy &
-Higham), and p is formed for three or more steps or past the last bound,
-theta_55. exp(G t) itself is formed by scaling and squaring the same Taylor
-polynomial (Higham 2005), so numpy is the only dependency. Forward time is
-enforced; amplitude rows that liouville._admit refuses, Hamiltonian phases
-too large to keep digits, grids too large to hold and RK4 steps past their
-stability bound are refused (InputError) before the first step, and every
-sample passes one validity check.
+with the step operator p formed once per segment. Sampled fields take
+m = 4, the classical RK4 step under a held G, and p = T_4(hG). Piecewise
+fields are stepped exactly: m is the least degree whose bound theta_m
+covers h norm(G, 1) (Al-Mohy & Higham), and p = exp(G h). p is formed for
+three or more steps, or past the last bound, theta_55; the samples p^k u
+then come by doubling (_powers), about log2 n block products in place of n
+matrix-vector products. exp(G t) itself is formed by scaling and squaring
+the same Taylor polynomial (Higham 2005), so numpy is the only dependency.
+Forward time is enforced; amplitude rows that liouville._admit refuses,
+Hamiltonian phases too large to keep digits, grids too large to hold and
+RK4 steps past their stability bound are refused (InputError) before the
+first step, and every sample passes one validity check: states._certified
+proves the stack physical without eigenvalues, and a stack it leaves
+unproven goes to check_density, which decides and names the first failure.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -36,7 +40,7 @@ from .algebra import affine_generator_set
 from .bloch import AffineGenerator
 from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import _admit, _combine, vectorize
-from .states import CoherenceVector, _extraction_maps, check_density, density_from_coordinates
+from .states import CoherenceVector, _extraction_maps, _require_density, density_from_coordinates
 from .tolerances import (CONIC_DISCRIMINANT_TOL, DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE,
                          GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES, PROPAGATION_TOL,
                          RK4_STEP_BOUND, SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL,
@@ -141,23 +145,27 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     fields are stepped exactly, by the Taylor polynomial of least degree
     whose bound covers h norm(G, 1), or by exp(G h) formed once for three or
     more steps or past the last bound; sampled fields take classical
-    fourth-order steps. Zero dissipation gives unitary evolution. Every
-    sample is checked for validity; the trace must hold to 1e-9 and
-    Hermiticity/positivity to validity_tol, which must be positive and
-    finite. The samples are checked together once computed; an error names
-    the first failing one. Before the first step, InputError (a ValueError)
-    refuses a segment whose amplitudes _admit refuses or whose Hamiltonian
-    phase, its duration times the largest entry bound of A0 + sum_m f_m A_m
-    (the dissipator left out), passes MAX_PHASE; a sample_dt not positive
-    and finite or whose grid passes MAX_SAMPLE_BYTES; and, for sampled
-    fields, a segment whose RK4 step passes RK4_STEP_BOUND.
+    fourth-order steps, by T_4(hG) formed once for three or more steps. A
+    segment with its step operator p formed takes its samples p^k u by
+    doubling: p^b applied to samples 1..b gives samples b+1..2b. Zero
+    dissipation gives unitary evolution. Every sample is checked for
+    validity; the trace must hold to 1e-9 and Hermiticity/positivity to
+    validity_tol, which must be positive and finite. The samples are checked
+    together once computed, first by a Cholesky certificate that needs no
+    eigenvalues; when it proves nothing, check_density decides and its
+    error names the first failing sample. Before the first step, InputError
+    (a ValueError) refuses a segment whose amplitudes _admit refuses or whose
+    Hamiltonian phase, its duration times the largest entry bound of
+    A0 + sum_m f_m A_m (the dissipator left out), passes MAX_PHASE; a
+    sample_dt not positive and finite or whose grid passes MAX_SAMPLE_BYTES;
+    and, for sampled fields, a segment whose RK4 step passes RK4_STEP_BOUND.
     """
     if not 0.0 < validity_tol < np.inf:
         raise InputError("validity_tol must be positive and finite")
     if sample_dt is not None and not 0.0 < sample_dt < np.inf:
         raise InputError("sample_dt must be positive and finite, got %g" % sample_dt)
     rho0 = np.asarray(rho0, dtype=complex)
-    check_density(rho0)
+    _require_density(rho0)
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
         raise InputError("system, dissipation and state dimensions differ")
     segs = _effective_segments(field, duration)
@@ -186,8 +194,8 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
 
     us = np.empty((int(samples), sys.dim ** 2))
     times = np.zeros(len(us))
-    u = us[0] = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)),
-                          np.trace(rho0).real)
+    us[0] = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)),
+                      np.trace(rho0).real)
     i, t0 = 0, 0.0
     for (dur, values), n in zip(segs, steps.astype(int).tolist()):
         gen = _combine(gens, values)
@@ -198,15 +206,21 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
         else:
             # held samples: classical RK4 with the generator frozen per
             # segment, which is T_4(hG) exactly
-            degree, p = 4, None
-        for k in range(1, n + 1):
-            u = us[i + k] = _taylor(gen, h, u, degree) if p is None else p @ u
-            times[i + k] = t0 + dur if k == n else t0 + k * h
+            degree = 4
+            p = _taylor(gen, h, np.eye(len(gen)), degree) if n > 2 else None
+        if p is None:
+            for k in range(i + 1, i + n + 1):
+                us[k] = _taylor(gen, h, us[k - 1], degree)
+                times[k] = t0 + (k - i) * h
+        else:
+            _powers(p, us[i:i + n + 1])
+            times[i + 1:i + n + 1] = t0 + np.arange(1, n + 1) * h
+        times[i + n] = t0 + dur
         i, t0 = i + n, t0 + dur
     rhos = density_from_coordinates(us, sys.dim)
     rhos[0] = rho0  # the state as given, not its rebuild from u
     if len(times) > 1:
-        check_density(rhos[1:], validity_tol, times=times[1:])
+        _require_density(rhos[1:], validity_tol, times=times[1:])
     return Trajectory(times=times, rho=rhos, bloch=us[:, :-1], trace_part=us[:, -1])
 
 
@@ -233,6 +247,24 @@ def _check_rk4_steps(gens, rows, h):
                          "the %g stability bound; sample_dt %.3g or less admits every segment"
                          % (suspects[first], h[suspects[first]], radii[first], RK4_STEP_BOUND,
                             np.floor(dt / unit) * unit))
+
+
+def _powers(p, us):
+    """Fill us[k] = p^k us[0] for k >= 1 in place, by doubling.
+
+    Once rows 1..b hold, rows b+1..2b are rows 1..b times q^T with q = p^b,
+    and q is squared as b doubles: one product with p and about
+    log2(len(us)) block products and squarings.
+    """
+    n = len(us) - 1
+    np.matmul(p, us[0], out=us[1])
+    b, q = 1, p
+    while b < n:
+        m = min(b, n - b)
+        np.matmul(us[1:1 + m], q.T, out=us[1 + b:1 + b + m])
+        b += m
+        if b < n:
+            q = q @ q
 
 
 def _taylor(gen, t, u, degree):

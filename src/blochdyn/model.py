@@ -86,11 +86,6 @@ class DissipationSpec:
     def dim(self):
         return self.dephasing.shape[0]
 
-    def is_quasi_spin(self):
-        """True when relaxation rates are symmetric, up to rounding, under level exchange."""
-        r = self.relaxation
-        return not exceeds_scaled(np.max(np.abs(r - r.T)), np.max(np.abs(r)))
-
     @classmethod
     def zero(cls, dim):
         z = np.zeros((dim, dim))

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, UnphysicalStateError
-from .tolerances import STATE_TRACE_TOL, VALIDITY_TOL
+from .tolerances import CERTIFICATE_SLACK, STATE_TRACE_TOL, VALIDITY_TOL
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,48 @@ def _margins(stack):
     finite = np.isfinite(sym).all(axis=(1, 2))
     sym[~finite] = 0.0
     return herm, trace, np.where(finite, np.linalg.eigvalsh(sym)[:, 0], np.nan)
+
+
+def _certified(stack, tol):
+    """True when the stack, shape (K, N, N), is proven to pass check_density(stack, tol).
+
+    Hermiticity and trace are compared as in _margins, from the strict upper
+    triangle and the diagonal, so a non-finite entry fails here. For
+    positivity, the Hermitian matrix read from one triangle lies within
+    r = (N - 1) herm / 2 of the symmetrized one in the 2-norm, and a smallest
+    eigenvalue above -(tau - r), tau = tol (1 - CERTIFICATE_SLACK), proves
+    check_density's margin >= -tol up to rounding: at N = 2 by the closed
+    form tr / 2 - hypot((rho_00 - rho_11) / 2, |rho_01|), otherwise by one
+    batched Cholesky factorization of the lower triangle plus (tau - r) I,
+    which raises for the whole stack if one factor fails. False proves
+    nothing; check_density decides.
+    """
+    n = stack.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    herm = np.maximum(np.abs(stack[:, i, j] - stack[:, j, i].conj()).max(initial=0.0),
+                      2.0 * np.abs(diag.imag).max(initial=0.0))
+    tr = diag.sum(axis=1)
+    if not (herm <= tol
+            and (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max(initial=0.0) <= STATE_TRACE_TOL):
+        return False
+    shift = tol * (1.0 - CERTIFICATE_SLACK) - (n - 1) * herm / 2
+    if n == 2:
+        return bool((tr.real / 2 - np.hypot((diag[:, 0].real - diag[:, 1].real) / 2,
+                                             np.abs(stack[:, 0, 1])) > -shift).all())
+    try:
+        np.linalg.cholesky(stack + shift * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _require_density(rho, tol=VALIDITY_TOL, times=None):
+    """check_density's verdict and errors, with _certified sparing its eigenvalues on a pass."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or not _certified(
+            rho.reshape((-1,) + rho.shape[-2:]), tol):
+        check_density(rho, tol, times)
 
 
 def check_density(rho, tol=VALIDITY_TOL, times=None):

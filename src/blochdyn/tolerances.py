@@ -11,6 +11,14 @@ VALIDITY_TOL = 1e-9
 PROPAGATION_TOL = 1e-7
 # trace offset |Re tr - 1| + |Im tr| allowed for any state, whatever the tol
 STATE_TRACE_TOL = 1e-9
+# propagate proves its samples positive without eigenvalues, by a Cholesky
+# factor (closed form at N = 2) of rho + tol (1 - CERTIFICATE_SLACK) I. Both
+# that factor and eigvalsh err by a few N eps for a unit-trace state (~4e-15
+# together at N = 8), so a proof stands for check_density's verdict while
+# tol CERTIFICATE_SLACK exceeds that, for every tol above 4e-11. States whose
+# smallest eigenvalue lies in the band of width tol CERTIFICATE_SLACK above
+# -tol go to check_density unproven, which only costs its eigenvalues
+CERTIFICATE_SLACK = 1e-4
 # trace-functional residual of a generator, relative to max(1, max|L|)
 GENERATOR_TRACE_TOL = 1e-12
 # Hermitian and symmetric-rate deviation, relative to max(1, max|m|)

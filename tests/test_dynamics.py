@@ -472,6 +472,76 @@ def test_steps_past_the_taylor_bounds_form_the_exponential(monkeypatch, scale, d
     assert np.max(np.abs(traj.rho[-1] - expected.reshape(2, 2))) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["piecewise", "sampled"])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 1000, 2047, 2048, 2049])
+def test_samples_are_powers_of_the_step_operator(kind, dim, n):
+    # a one-step segment, then n steps: every sample against the sequential
+    # product p^k u0, with p = exp(G h) or the RK4 step T_4(hG)
+    rng = np.random.default_rng(dim)
+    sys, spec = admissible_system(rng, dim)
+    values = rng.uniform(-1.0, 1.0, (2, dim - 1))
+    gens = [_combine(np.array(affine_generator_set(sys, spec)), f) for f in values]
+    dur = 0.3 / max(np.linalg.norm(g, 1) for g in gens)
+    h = dur / n
+    rho0 = 0.5 * from_pure(rng.standard_normal(dim)) + 0.5 * np.eye(dim) / dim
+    traj = propagate(sys, spec, ControlField(segments=((h, values[0]), (dur, values[1])),
+                                             kind=kind), rho0, sample_dt=h)
+    assert len(traj) == n + 2
+    u = np.append(traj.bloch[0], traj.trace_part[0])
+    expected = [u]
+    for g, steps in zip(gens, (1, n)):
+        p = expm(g, h) if kind == "piecewise" else _taylor(g, h, np.eye(len(g)), 4)
+        for _ in range(steps):
+            expected.append(p @ expected[-1])
+    got = np.column_stack([traj.bloch, traj.trace_part])
+    expected = np.array(expected)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # t0 + k h after the first segment, whose end t0 = h is exact
+    times = np.concatenate([[0.0, h], h + np.arange(1, n + 1) * h])
+    times[-1] = h + dur
+    np.testing.assert_array_equal(traj.times, times)
+
+
+def counting_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_passing_trajectory_computes_no_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(3)
+    sys, spec = admissible_system(rng, 3)
+    rho0 = 0.5 * from_pure([1, 1, 1]) + 0.5 * np.eye(3) / 3
+    calls = counting_eigvalsh(monkeypatch)
+    traj = propagate(sys, spec, ControlField(segments=((2.0, (0.5, -0.3)),)), rho0,
+                     sample_dt=1e-3)
+    assert len(traj) == 2001
+    assert calls == []
+
+
+def test_failing_sample_is_judged_by_its_eigenvalues(monkeypatch):
+    # pair-rule rates that are not completely positive: zero relaxation and
+    # dephasing only between levels 0 and 2 drive the uniform superposition
+    # out of the physical set
+    sys = ControlSystem(h0=np.diag([0.0, 1.0, 2.5]).astype(complex), controls=())
+    deph = np.zeros((3, 3))
+    deph[0, 2] = deph[2, 0] = 1.0
+    spec = DissipationSpec(dephasing=deph, relaxation=np.zeros((3, 3)))
+    calls = counting_eigvalsh(monkeypatch)
+    with pytest.raises(UnphysicalStateError, match="left the physical set") as err:
+        propagate(sys, spec, ControlField(segments=((2.0, ()),)), from_pure([1, 1, 1]),
+                  sample_dt=1e-3)
+    assert calls
+    assert err.value.worst["min_eigenvalue"] < -PROPAGATION_TOL
+
+
 def test_unitary_rabi_flop():
     # On resonance in the degenerate frame a constant drive swaps the
     # populations after a quarter period t = pi / (2 d1 f1).

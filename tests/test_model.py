@@ -105,24 +105,6 @@ def test_non_finite_numbers_rejected(bad):
         ControlField(segments=((1.0, (0.5,)), (bad, (0.5,))))
 
 
-def test_quasi_spin_predicate():
-    pure_dephasing = DissipationSpec(
-        dephasing=[[0.0, 0.3], [0.3, 0.0]],
-        relaxation=np.zeros((2, 2)),
-    )
-    assert pure_dephasing.is_quasi_spin()
-    symmetric = DissipationSpec(
-        dephasing=[[0.0, 0.3], [0.3, 0.0]],
-        relaxation=[[0.0, 0.1], [0.1, 0.0]],
-    )
-    assert symmetric.is_quasi_spin()
-    asymmetric = DissipationSpec(
-        dephasing=[[0.0, 0.3], [0.3, 0.0]],
-        relaxation=[[0.0, 0.2], [0.1, 0.0]],
-    )
-    assert not asymmetric.is_quasi_spin()
-
-
 def rounded_rates():
     # g_kn + s_k + s_n summed in two orders: symmetric in exact arithmetic,
     # asymmetric by one rounding in double precision
@@ -144,13 +126,6 @@ def test_dephasing_symmetric_up_to_rounding():
     assert np.array_equal(sym.dephasing, [[0.0, 0.3], [0.3, 0.0]])
     with pytest.raises(ValueError, match="symmetric"):
         DissipationSpec(dephasing=[[0.0, 0.3], [0.301, 0.0]], relaxation=np.zeros((2, 2)))
-
-
-def test_quasi_spin_up_to_rounding():
-    m = rounded_rates()
-    assert DissipationSpec(dephasing=np.zeros((3, 3)), relaxation=m).is_quasi_spin()
-    m[0, 1] += 1e-3
-    assert not DissipationSpec(dephasing=np.zeros((3, 3)), relaxation=m).is_quasi_spin()
 
 
 def test_dissipation_zero_constructor():

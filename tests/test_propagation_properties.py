@@ -25,10 +25,16 @@ PROPERTIES = settings(derandomize=True, max_examples=25, deadline=None)
 
 
 def admissible_system(rng, dim):
-    """Ladder with dipoles between neighbours and completely positive rates.
+    """Ladder with dipoles between neighbours, rates drawn by the pair rule.
 
     Each dephasing rate is at least half the relaxation leaving its two
-    levels, which keeps the semigroup completely positive.
+    levels (e_kn >= 0 with e_kn = gamma_kn - (Gamma_k + Gamma_n) / 2 and
+    Gamma_n the relaxation leaving level n). That rule is necessary for
+    complete positivity and sufficient only at N = 2; the exact condition is
+    r >= 0 and -V^T e V PSD, with e_kk = 0 and V an orthonormal basis of the
+    vectors orthogonal to (1, ..., 1) (Gorini, Kossakowski & Sudarshan 1976;
+    Lindblad 1976). So at N >= 3 a draw need not be completely positive; the
+    tests that use it rest on the states they draw staying positive.
     """
     h0 = np.diag(np.cumsum(rng.uniform(0.3, 1.5, dim))).astype(complex)
     controls = []

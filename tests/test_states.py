@@ -10,6 +10,8 @@ from blochdyn.errors import UnphysicalStateError
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec
 from blochdyn.states import (
     CoherenceVector,
+    _certified,
+    _require_density,
     check_density,
     density_from_coordinates,
     from_coherence_vector,
@@ -254,6 +256,54 @@ def test_stacked_check_matches_per_matrix_check(dim, size, seed, corruptions, to
     stacked = {k: v for k, v in err.value.worst.items() if k != "t"}
     assert list(stacked) == list(single)
     np.testing.assert_array_equal(list(stacked.values()), list(single.values()))
+
+
+DEFECTS = st.lists(
+    st.tuples(st.integers(0, 7),
+              st.sampled_from(["below", "above", "hermiticity", "trace", "nan"])),
+    max_size=3,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim=st.integers(2, 5), size=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       defects=DEFECTS, tol=st.sampled_from([1e-9, 1e-7]))
+def test_certificate_verdict_matches_check_density(dim, size, seed, defects, tol):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_density(rng, dim) for _ in range(size)])
+    # eigenvalues are placed while the matrices are still Hermitian and finite
+    order = ["below", "above", "hermiticity", "trace", "nan"]
+    for index, kind in sorted(defects, key=lambda d: order.index(d[1])):
+        m = stack[index % size]
+        if kind in ("below", "above"):
+            # smallest eigenvalue at -tol (1 +- 1e-3), on either side of the
+            # bound, with the trace kept
+            w, v = np.linalg.eigh(m)
+            target = -tol * (1.0 + (1e-3 if kind == "below" else -1e-3))
+            w[1] += w[0] - target
+            w[0] = target
+            m[:] = (v * w) @ v.conj().T
+        elif kind == "hermiticity":
+            m[0, -1] += 2.0 * tol
+        elif kind == "trace":
+            m *= 1.0 + 1e-8
+        else:
+            m[tuple(rng.integers(0, dim, 2))] = np.nan
+    try:
+        check_density(stack, tol)
+        passed = True
+    except UnphysicalStateError:
+        passed = False
+    assert _certified(stack, tol) == passed
+    if not passed:
+        # propagate's path raises check_density's own error
+        times = 0.25 * np.arange(1, size + 1)
+        with pytest.raises(UnphysicalStateError) as direct:
+            check_density(stack, tol, times=times)
+        with pytest.raises(UnphysicalStateError) as via:
+            _require_density(stack, tol, times=times)
+        assert str(via.value) == str(direct.value)
+        np.testing.assert_equal(via.value.worst, direct.value.worst)
 
 
 def test_coherence_vector_length_validation():
