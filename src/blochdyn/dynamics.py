@@ -13,8 +13,17 @@ fields are stepped exactly: m is the least degree whose bound theta_m
 covers h norm(G, 1) (Al-Mohy & Higham), and p = exp(G h). p is formed for
 three or more steps, or past the last bound, theta_55; the samples p^k u
 then come by doubling (_powers), about log2 n block products in place of n
-matrix-vector products. exp(G t) itself is formed by scaling and squaring
-the same Taylor polynomial (Higham 2005), so numpy is the only dependency.
+matrix-vector products. Segments are set up in blocks of as many as
+STEP_BATCH_BYTES of G hold: one product of the weight rows (1, f_k, 1) with
+the flattened pieces gives their G(f_k), one reduction their norms, and
+np.searchsorted on the theta_m their degrees. A segment of one or two steps
+applies T_m(hG) to u step by step, unless G is at most STEP_BATCH_MAX_ORDER
+square (N <= 6): then the step operators T_m(h_k G_k) of all such segments
+of the block come from one Horner evaluation over the stack, since a numpy
+call costs about the same at these sizes whatever its size, and each takes
+its samples as p u. Sample times are t0 + k h, with every segment end
+exact. exp(G t) itself is formed by scaling and squaring the same Taylor
+polynomial (Higham 2005), so numpy is the only dependency.
 Forward time is enforced; amplitude rows that liouville._admit refuses,
 Hamiltonian phases too large to keep digits, grids too large to hold and
 RK4 steps past their stability bound are refused (InputError) before the
@@ -44,8 +53,8 @@ from .states import CoherenceVector, _extraction_maps, _require_density, density
 from .tolerances import (CONIC_DISCRIMINANT_TOL, DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE,
                          GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES, PROPAGATION_TOL,
                          RK4_STEP_BOUND, SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL,
-                         SWEEP_ANCHOR_STRIDE, SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled,
-                         overruns)
+                         STEP_BATCH_BYTES, STEP_BATCH_MAX_ORDER, SWEEP_ANCHOR_STRIDE,
+                         SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled, overruns)
 
 
 def expm(m, t=1.0):
@@ -147,7 +156,11 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     more steps or past the last bound; sampled fields take classical
     fourth-order steps, by T_4(hG) formed once for three or more steps. A
     segment with its step operator p formed takes its samples p^k u by
-    doubling: p^b applied to samples 1..b gives samples b+1..2b. Zero
+    doubling: p^b applied to samples 1..b gives samples b+1..2b. Segments of
+    one or two steps apply the polynomial to u step by step when G is larger
+    than STEP_BATCH_MAX_ORDER square; otherwise their step operators are
+    formed together, in blocks bounded by STEP_BATCH_BYTES, each at least at
+    its own degree, and a slice past the last bound keeps exp(G h). Zero
     dissipation gives unitary evolution. Every sample is checked for
     validity; the trace must hold to 1e-9 and Hermiticity/positivity to
     validity_tol, which must be positive and finite. The samples are checked
@@ -180,7 +193,8 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
         raise InputError("segment %d: Hamiltonian phase %.3g passes the %g bound, past which "
                          "exp(G t) keeps too few digits" % (k, phase[k], MAX_PHASE))
     if sample_dt is None:
-        sample_dt = default_sample_dt([_combine(gens, v) for v in rows],
+        # one generator at a time: a list of all K would hold K N^4 entries
+        sample_dt = default_sample_dt((_combine(gens, v) for v in rows),
                                       durations.sum() or 1.0)
     with np.errstate(over="ignore", divide="ignore"):  # a count that overflows is refused below
         steps = np.maximum(1.0, np.ceil(durations / sample_dt - GRID_STEP_SLACK))
@@ -189,39 +203,76 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
         raise InputError("sample_dt %g gives %.4g samples of %dx%d density matrices, past the "
                          "%d MB bound" % (sample_dt, samples, sys.dim, sys.dim,
                                           MAX_SAMPLE_BYTES >> 20))
+    count, order = len(segs), sys.dim ** 2
+    h = durations / steps
+    weights = np.ones((count, len(gens)))
+    weights[:, 1:-1] = np.reshape(rows, (count, len(gens) - 2))
     if field.kind == "sampled" and segs:
-        _check_rk4_steps(gens, np.array(rows), durations / steps)
+        _check_rk4_steps(gens, weights[:, 1:-1], h)
 
-    us = np.empty((int(samples), sys.dim ** 2))
+    n_steps = steps.astype(int)
+    ends = np.cumsum(durations)  # accumulates as t0 + d, segment by segment
+    starts = np.concatenate(([0.0], ends[:-1]))
+    first = np.concatenate(([0], np.cumsum(n_steps)))  # index of each segment's first sample
+    us = np.empty((int(samples), order))
     times = np.zeros(len(us))
     us[0] = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)),
                       np.trace(rho0).real)
-    i, t0 = 0, 0.0
-    for (dur, values), n in zip(segs, steps.astype(int).tolist()):
-        gen = _combine(gens, values)
-        h = dur / n
-        if field.kind == "piecewise":
-            degree = _taylor_degree(h * np.abs(gen).sum(axis=0).max())
-            p = expm(gen, h) if n > 2 or degree is None else None
-        else:
-            # held samples: classical RK4 with the generator frozen per
-            # segment, which is T_4(hG) exactly
-            degree = 4
-            p = _taylor(gen, h, np.eye(len(gen)), degree) if n > 2 else None
-        if p is None:
-            for k in range(i + 1, i + n + 1):
-                us[k] = _taylor(gen, h, us[k - 1], degree)
-                times[k] = t0 + (k - i) * h
-        else:
-            _powers(p, us[i:i + n + 1])
-            times[i + 1:i + n + 1] = t0 + np.arange(1, n + 1) * h
-        times[i + n] = t0 + dur
-        i, t0 = i + n, t0 + dur
+    pieces = gens.reshape(len(gens), -1)
+    block = max(1, STEP_BATCH_BYTES // pieces[0].nbytes)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        # t0 + k h for k = 1..n, then each segment end exact
+        seg = np.repeat(np.arange(lo, hi), n_steps[lo:hi])
+        at = np.arange(first[lo] + 1, first[hi] + 1)
+        times[at] = starts[seg] + (at - first[seg]) * h[seg]
+        times[first[lo + 1:hi + 1]] = ends[lo:hi]
+        _step_block(us[first[lo]:first[hi] + 1], weights[lo:hi] @ pieces, h[lo:hi],
+                    n_steps[lo:hi], field.kind == "piecewise")
     rhos = density_from_coordinates(us, sys.dim)
     rhos[0] = rho0  # the state as given, not its rebuild from u
     if len(times) > 1:
         _require_density(rhos[1:], validity_tol, times=times[1:])
     return Trajectory(times=times, rho=rhos, bloch=us[:, :-1], trace_part=us[:, -1])
+
+
+def _step_block(us, g, h, steps, piecewise):
+    """Fill us[1:] in place by stepping us[0] through consecutive segments.
+
+    Row k of g is the segment's G(f_k), flattened; h[k] is its step and
+    steps[k] its step count. Up to STEP_BATCH_MAX_ORDER, the segments of 1-2
+    steps take their step operators T_m(h G) from one Horner evaluation over
+    all of them, at the largest degree they need; the rest take T_m(h G) u
+    step by step (1-2 steps) or the powers of p = exp(G h) or T_4(h G) (3 or
+    more steps, and exact steps past the last Taylor bound).
+    """
+    order = us.shape[1]
+    g = g.reshape(-1, order, order)
+    if piecewise:
+        # the least degree whose bound covers h norm(G, 1); 0 past the last
+        degrees = _DEGREES[np.searchsorted(_THETAS, h * np.abs(g).sum(axis=1).max(axis=1))]
+    else:
+        # held samples: classical RK4 with the generator frozen per segment,
+        # which is T_4(hG) exactly
+        degrees = np.full(len(g), 4)
+    batch = {}
+    if order <= STEP_BATCH_MAX_ORDER:
+        short = np.flatnonzero((steps <= 2) & (degrees > 0))
+        if short.size:
+            x = g[short]
+            x *= h[short, None, None]
+            batch = dict(zip(short.tolist(), _taylor_stack(x, degrees[short].max())))
+    i = 0
+    for k, (n, hk, degree) in enumerate(zip(steps.tolist(), h.tolist(), degrees.tolist())):
+        gen, p = g[k], batch.get(k)
+        if p is None and (n > 2 or not degree):
+            p = expm(gen, hk) if piecewise else _taylor(gen, hk, np.eye(order), degree)
+        if p is None:
+            for j in range(i + 1, i + n + 1):
+                us[j] = _taylor(gen, hk, us[j - 1], degree)
+        else:
+            _powers(p, us[i:i + n + 1])
+        i += n
 
 
 def _check_rk4_steps(gens, rows, h):
@@ -247,6 +298,18 @@ def _check_rk4_steps(gens, rows, h):
                          "the %g stability bound; sample_dt %.3g or less admits every segment"
                          % (suspects[first], h[suspects[first]], radii[first], RK4_STEP_BOUND,
                             np.floor(dt / unit) * unit))
+
+
+def _taylor_stack(x, degree):
+    """T_m(X) = sum_{k <= m} X^k / k! for every X of the stack x, by Horner's rule, m = degree."""
+    eye = np.eye(x.shape[-1])
+    p = x * (1.0 / degree)
+    p += eye
+    for k in range(degree - 1, 0, -1):
+        p = x @ p
+        p *= 1.0 / k
+        p += eye
+    return p
 
 
 def _powers(p, us):
@@ -275,9 +338,13 @@ def _taylor(gen, t, u, degree):
     return v
 
 
+_THETAS = np.array(list(TAYLOR_THETA.values()))
+_DEGREES = np.array(list(TAYLOR_THETA) + [0])  # indexed by np.searchsorted(_THETAS, x)
+
+
 def _taylor_degree(x):
     """Least degree m whose TAYLOR_THETA[m] covers x = t norm(G, 1), or None past the table."""
-    return next((m for m, theta in TAYLOR_THETA.items() if theta >= x), None)
+    return int(_DEGREES[np.searchsorted(_THETAS, x)]) or None
 
 
 @dataclass(frozen=True)

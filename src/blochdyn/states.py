@@ -86,10 +86,25 @@ def _extraction_maps(dim):
     return r, e, mixed
 
 
-def density_from_coordinates(u, dim):
-    """rho = (s/N) I + (1/2) sum_a v_a g_a per row u = (v, s): one matmul with [E, vec(I)/N]."""
+@lru_cache(maxsize=16)
+def _rebuild_map(dim):
+    # [E, vec(I)/N]^T with the real and imaginary part of each entry side by
+    # side, the layout of a complex array viewed as float
     _, e, mixed = _extraction_maps(dim)
-    return (u @ np.column_stack([e, mixed]).T).reshape(u.shape[:-1] + (dim, dim))
+    c = np.column_stack([e, mixed]).T
+    return np.stack([c.real, c.imag], axis=-1).reshape(len(c), -1)
+
+
+def density_from_coordinates(u, dim):
+    """rho = (s/N) I + (1/2) sum_a v_a g_a per row u = (v, s).
+
+    The coordinates are real, so one real product with _rebuild_map writes
+    the real and imaginary parts straight into the complex result.
+    """
+    lead = np.shape(u)[:-1]
+    rho = np.empty(lead + (dim, dim), dtype=complex)
+    np.matmul(u, _rebuild_map(dim), out=rho.view(float).reshape(lead + (-1,)))
+    return rho
 
 
 def _margins(stack):

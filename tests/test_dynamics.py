@@ -6,6 +6,8 @@ while the longitudinal component relaxes exponentially to the pumping
 balance point.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -35,7 +37,7 @@ from blochdyn.liouville import (_combine, build_dissipator, generator_pieces, to
                                 vectorize)
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
 from blochdyn.states import from_pure, to_coherence_vector
-from blochdyn.tolerances import PROPAGATION_TOL, TAYLOR_THETA
+from blochdyn.tolerances import GRID_STEP_SLACK, PROPAGATION_TOL, TAYLOR_THETA
 from test_propagation_properties import admissible_system
 
 OMEGA = 1.4
@@ -282,6 +284,25 @@ def test_propagate_builds_the_generator_once_without_sample_dt(monkeypatch):
     assert len(builds) == 1
 
 
+def test_default_grid_holds_one_generator_at_a_time():
+    # the default sample_dt reads each segment's norm in turn: 2,000 one-step
+    # slices at N = 8 peak as with the same grid given, not with 2,000
+    # generators of 32 KB held at once
+    rng = np.random.default_rng(8)
+    sys, spec = admissible_system(rng, 8)
+    field = ControlField(segments=tuple((1e-3, f) for f in rng.uniform(-1.0, 1.0, (2000, 7))))
+    rho0 = 0.5 * from_pure(np.ones(8)) + 0.5 * np.eye(8) / 8
+    peaks = []
+    for sample_dt in (None, 1e-3):
+        tracemalloc.start()
+        try:
+            assert len(propagate(sys, spec, field, rho0, sample_dt=sample_dt)) == 2001
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.5 * peaks[1]
+
+
 def _sampled_run(sample_dt, energies=(0.0, 10.0)):
     cfg = load_template("quasi_spin_qubit")
     sys = ControlSystem(h0=np.diag(energies).astype(complex), controls=cfg.system.controls)
@@ -501,6 +522,99 @@ def test_samples_are_powers_of_the_step_operator(kind, dim, n):
     times = np.concatenate([[0.0, h], h + np.arange(1, n + 1) * h])
     times[-1] = h + dur
     np.testing.assert_array_equal(traj.times, times)
+
+
+def sequential_route(sys, spec, segments, kind, u0, dt):
+    """Samples and times of the per-segment route: one or two steps by the
+    Taylor action, more steps (or past the last Taylor bound) by powers of p."""
+    gens = np.array(affine_generator_set(sys, spec))
+    us, times, t0 = [u0], [0.0], 0.0
+    for dur, values in segments:
+        n = max(1, int(np.ceil(dur / dt - GRID_STEP_SLACK)))
+        gen, h = _combine(gens, values), dur / n
+        degree = 4
+        if kind == "piecewise":
+            degree = dynamics._taylor_degree(h * np.abs(gen).sum(axis=0).max())
+        formed = n > 2 or degree is None
+        if formed:
+            p = expm(gen, h) if kind == "piecewise" else _taylor(gen, h, np.eye(len(gen)), 4)
+        for k in range(1, n + 1):
+            us.append(p @ us[-1] if formed else _taylor(gen, h, us[-1], degree))
+            times.append(t0 + k * h)
+        t0 += dur
+        times[-1] = t0
+    return np.array(us), np.array(times)
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "sampled"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_batched_short_steps_match_the_sequential_route(monkeypatch, kind, dim):
+    # 75 segments in blocks of 16, of one or two steps mixed with long ones
+    # and, for exact steps, with slices past the last Taylor bound, which
+    # keep exp(G h)
+    monkeypatch.setattr(dynamics, "STEP_BATCH_BYTES", 16 * 8 * dim ** 4)
+    rng = np.random.default_rng(100 + dim)
+    sys, spec = admissible_system(rng, dim)
+    gens = np.array(affine_generator_set(sys, spec))
+    values = rng.uniform(-1.0, 1.0, (75, dim - 1))
+    dt = 0.05 / max(np.abs(_combine(gens, f)).sum(axis=0).max() for f in values)
+    reach = rng.choice([0.6, 1.5, 5.0, 0.9], 75, p=[0.4, 0.3, 0.2, 0.1])
+    if kind == "piecewise":
+        values[reach == 0.9] *= 2000.0
+    durs = dt * reach * rng.uniform(0.9, 1.05, 75)
+    segments = tuple(zip(durs.tolist(), values))
+    rho0 = 0.5 * from_pure(rng.standard_normal(dim)) + 0.5 * np.eye(dim) / dim
+    traj = propagate(sys, spec, ControlField(segments=segments, kind=kind), rho0, sample_dt=dt)
+    got = np.column_stack([traj.bloch, traj.trace_part])
+    expected, times = sequential_route(sys, spec, segments, kind, got[0], dt)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    np.testing.assert_array_equal(traj.times, times)
+    if kind == "piecewise":
+        past = [dynamics._taylor_degree(d * np.abs(_combine(gens, f)).sum(axis=0).max()) is None
+                for d, f in segments]
+        assert 0 < sum(past) < 75
+
+
+@pytest.mark.parametrize("kind", ["piecewise", "sampled"])
+def test_short_slices_take_no_per_step_action(monkeypatch, kind):
+    # 200 slices of 0.6 to 1.4 sample steps at N = 3: every step operator is
+    # formed in a batch, so no step applies the Taylor polynomial to a vector
+    rng = np.random.default_rng(3)
+    sys, spec = admissible_system(rng, 3)
+    gens = np.array(affine_generator_set(sys, spec))
+    values = rng.uniform(-1.0, 1.0, (200, 2))
+    dt = 0.05 / max(np.abs(_combine(gens, f)).sum(axis=0).max() for f in values)
+    segments = tuple(zip(dt * rng.uniform(0.6, 1.4, 200), values))
+    actions = []
+    taylor = dynamics._taylor
+
+    def counted(gen, t, u, degree):
+        if np.ndim(u) == 1:
+            actions.append(t)
+        return taylor(gen, t, u, degree)
+
+    monkeypatch.setattr(dynamics, "_taylor", counted)
+    rho0 = 0.5 * from_pure([1, 1, 1]) + 0.5 * np.eye(3) / 3
+    traj = propagate(sys, spec, ControlField(segments=segments, kind=kind), rho0, sample_dt=dt)
+    assert len(traj) > 201
+    assert actions == []
+
+
+def test_many_short_slices_form_their_step_operators_in_bounded_blocks():
+    # 20,000 one-step slices at N = 5: the density stack holds 7.6 MB, and
+    # the step operators of all slices at once would hold 95 MB more
+    rng = np.random.default_rng(5)
+    sys, spec = admissible_system(rng, 5)
+    field = ControlField(segments=tuple((7e-3, f) for f in rng.uniform(-1.0, 1.0, (20000, 4))))
+    rho0 = 0.5 * from_pure(np.ones(5)) + 0.5 * np.eye(5) / 5
+    tracemalloc.start()
+    try:
+        traj = propagate(sys, spec, field, rho0, sample_dt=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 20001
+    assert peak <= 5 * traj.rho.nbytes
 
 
 def counting_eigvalsh(monkeypatch):

@@ -10,6 +10,11 @@ NAME.analyze.stdout and NAME.analyze.json from
 written by `blochdyn template NAME`. A change that moves emitted digits
 regenerates them with those commands and records the largest deviation in
 CHANGES.md.
+
+The templates run only long segments. short_sliced_ladder.simulate.csv is
+`blochdyn simulate --config short_sliced_ladder.json --out
+short_sliced_ladder.simulate.csv` with BLAS on one thread: 48 slices of one or
+two steps at N = 3, whose step operators propagate forms together.
 """
 
 from pathlib import Path
@@ -36,3 +41,12 @@ def test_cli_output_matches_golden(tmp_path, capsys, template, command, suffix):
     stem = "%s.%s" % (template, command)
     assert captured.out.encode() == (GOLDEN / (stem + ".stdout")).read_bytes()
     assert out.read_bytes() == (GOLDEN / ("%s.%s" % (stem, suffix))).read_bytes()
+
+
+def test_short_sliced_simulate_matches_golden(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(GOLDEN / "short_sliced_ladder.json"),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == (GOLDEN / "short_sliced_ladder.simulate.csv").read_bytes()
