@@ -6,24 +6,19 @@ weight them by (1, f_1..f_M, 1) into G(f) = [[A(f), b(f)], [0, 0]].
 
 States are stepped as real coordinates u = (v, tr rho) under G(f) on one
 grid for both field kinds: a segment of duration d takes n = ceil(d / dt)
-equal steps h = d / n, each either T_m(hG) u, a Taylor polynomial, or p u
-with the step operator p formed once per segment. Sampled fields take
-m = 4, the classical RK4 step under a held G, and p = T_4(hG). Piecewise
-fields are stepped exactly: m is the least degree whose bound theta_m
-covers h norm(G, 1) (Al-Mohy & Higham), and p = exp(G h). p is formed for
-three or more steps, or past the last bound, theta_55; the samples p^k u
-then come by doubling (_powers), about log2 n block products in place of n
-matrix-vector products. Segments are set up in blocks of as many as
-STEP_BATCH_BYTES of G hold: one product of the weight rows (1, f_k, 1) with
-the flattened pieces gives their G(f_k), one reduction their norms, and
-np.searchsorted on the theta_m their degrees. A segment of one or two steps
-applies T_m(hG) to u step by step, unless G is at most STEP_BATCH_MAX_ORDER
-square (N <= 6): then the step operators T_m(h_k G_k) of all such segments
-of the block come from one Horner evaluation over the stack, since a numpy
-call costs about the same at these sizes whatever its size, and each takes
-its samples as p u. Sample times are t0 + k h, with every segment end
-exact. exp(G t) itself is formed by scaling and squaring the same Taylor
-polynomial (Higham 2005), so numpy is the only dependency.
+equal steps h = d / n, each p u with the step operator p = exp(G h)
+(piecewise, exact) or T_4(hG) (sampled: the classical RK4 step under a held
+G). Segments are set up in blocks of as many as STEP_BATCH_BYTES of G hold:
+one product of the weight rows (1, f_k, 1) with the flattened pieces gives
+their G(f_k), and one call over that stack, expm or the Horner kernel
+_taylor, gives every p; the samples p^k u then come by doubling (_powers).
+Above STEP_BATCH_MAX_ORDER (N >= 7), where a stack's products cost more than
+the calls they save, a segment of one or two steps within the last Taylor
+bound applies T_m(hG) to u step by step instead, m the least degree whose
+bound theta_m covers h norm(G, 1) (Al-Mohy & Higham). Sample times are
+t0 + k h, with every segment end exact. exp(G t) itself is formed by scaling
+and squaring the same Taylor polynomial (Higham 2005), so numpy is the only
+dependency.
 Forward time is enforced; amplitude rows that liouville._admit refuses,
 Hamiltonian phases too large to keep digits, grids too large to hold and
 RK4 steps past their stability bound are refused (InputError) before the
@@ -50,39 +45,42 @@ from .bloch import AffineGenerator
 from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import _admit, _combine, vectorize
 from .states import CoherenceVector, _extraction_maps, _require_density, density_from_coordinates
-from .tolerances import (CONIC_DISCRIMINANT_TOL, DEGENERATE_CONIC_TOL, EXPM_MAX_DEGREE,
-                         GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES, PROPAGATION_TOL,
-                         RK4_STEP_BOUND, SAMPLE_STEP_NORM, SINGULAR_RATIO, SPECTRUM_TOL,
-                         STEP_BATCH_BYTES, STEP_BATCH_MAX_ORDER, SWEEP_ANCHOR_STRIDE,
-                         SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled, overruns)
+from .tolerances import (CONIC_DISCRIMINANT_TOL, CONIC_FIT_TOL, DEGENERATE_CONIC_TOL,
+                         EXPM_MAX_DEGREE, GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES,
+                         PROPAGATION_TOL, RK4_STEP_BOUND, SAMPLE_STEP_NORM, SINGULAR_RATIO,
+                         SPECTRUM_TOL, STEP_BATCH_BYTES, STEP_BATCH_MAX_ORDER,
+                         SWEEP_ANCHOR_STRIDE, SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled,
+                         overruns)
 
 
 def expm(m, t=1.0):
     """exp(m t) by scaling and squaring a Taylor polynomial, after finiteness and shape checks.
 
-    With X = m t, s is the least integer with norm(X, 1) / 2^s <= theta_18
-    and d the least degree in TAYLOR_THETA whose theta_d covers
-    norm(X, 1) / 2^s; the result is T_d(X / 2^s)^(2^s), the Horner kernel
-    _taylor applied to the identity and then squared s times. theta_d bounds
-    the backward error of T_d by 2^-53 (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488-511, 2011); the scaling and squaring frame is Higham's
-    (SIAM J. Matrix Anal. Appl. 26, 1179-1193, 2005), with a Taylor
+    m is a square matrix or a stack (K, n, n), t a scalar or one per matrix.
+    With X = m t, each matrix takes the least s with norm(X, 1) / 2^s <=
+    theta_18; one Horner pass of _taylor over the stack gives T_d(X / 2^s),
+    and each matrix is squared its own s times. d is the least degree whose
+    theta_d covers the stack's largest norm(X, 1) / 2^s, at least each
+    matrix's own. theta_d bounds the backward error of T_d by 2^-53
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488-511, 2011); the frame is
+    Higham's (SIAM J. Matrix Anal. Appl. 26, 1179-1193, 2005), with a Taylor
     polynomial in place of the Pade approximant, so numpy alone suffices.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
     with np.errstate(over="ignore", invalid="ignore"):
-        x = m * t
-        norm = np.abs(x).sum(axis=0).max(initial=0.0)
-    if not np.isfinite(norm):
+        x = m.reshape((-1,) + m.shape[-2:]) * np.reshape(t, (-1, 1, 1))
+        norm = np.abs(x).sum(axis=1).max(axis=1, initial=0.0)
+    if not np.isfinite(norm).all():
         raise ValueError("matrix exponential of non-finite input")
-    theta = TAYLOR_THETA[EXPM_MAX_DEGREE]
-    s = int(np.ceil(np.log2(norm / theta))) if norm > theta else 0
-    e = _taylor(x, 2.0 ** -s, np.eye(len(x)), _taylor_degree(norm / 2.0 ** s))
-    for _ in range(s):
-        e = e @ e
-    return e
+    s = np.ceil(np.log2(np.maximum(norm / TAYLOR_THETA[EXPM_MAX_DEGREE], 1.0)))
+    if s.any():
+        x *= 2.0 ** -s[:, None, None]
+    e = _taylor(x, 1.0, None, _taylor_degree((norm * 2.0 ** -s).max(initial=0.0)))
+    for j in range(int(s.max(initial=0))):
+        e[s > j] = e[s > j] @ e[s > j]
+    return e.reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -151,16 +149,12 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     The state is stepped as u = (v, tr rho) under G(f). Both field kinds take
     n = ceil(d / sample_dt) equal steps over a segment of duration d, so no
     step exceeds sample_dt and every segment end is a sample. Piecewise
-    fields are stepped exactly, by the Taylor polynomial of least degree
-    whose bound covers h norm(G, 1), or by exp(G h) formed once for three or
-    more steps or past the last bound; sampled fields take classical
-    fourth-order steps, by T_4(hG) formed once for three or more steps. A
-    segment with its step operator p formed takes its samples p^k u by
-    doubling: p^b applied to samples 1..b gives samples b+1..2b. Segments of
-    one or two steps apply the polynomial to u step by step when G is larger
-    than STEP_BATCH_MAX_ORDER square; otherwise their step operators are
-    formed together, in blocks bounded by STEP_BATCH_BYTES, each at least at
-    its own degree, and a slice past the last bound keeps exp(G h). Zero
+    fields are stepped exactly, by p = exp(G h); sampled fields take
+    classical fourth-order steps, by p = T_4(hG). One call over the stack of
+    a block of segments (STEP_BATCH_BYTES) forms their p, and each segment
+    takes its samples p^k u by doubling; above STEP_BATCH_MAX_ORDER,
+    segments of one or two steps within the last Taylor bound apply the
+    least-degree Taylor polynomial to u step by step instead. Zero
     dissipation gives unitary evolution. Every sample is checked for
     validity; the trace must hold to 1e-9 and Hermiticity/positivity to
     validity_tol, which must be positive and finite. The samples are checked
@@ -240,38 +234,32 @@ def _step_block(us, g, h, steps, piecewise):
     """Fill us[1:] in place by stepping us[0] through consecutive segments.
 
     Row k of g is the segment's G(f_k), flattened; h[k] is its step and
-    steps[k] its step count. Up to STEP_BATCH_MAX_ORDER, the segments of 1-2
-    steps take their step operators T_m(h G) from one Horner evaluation over
-    all of them, at the largest degree they need; the rest take T_m(h G) u
-    step by step (1-2 steps) or the powers of p = exp(G h) or T_4(h G) (3 or
-    more steps, and exact steps past the last Taylor bound).
+    steps[k] its step count. The segments that form their step operator p,
+    all of them up to STEP_BATCH_MAX_ORDER, take it from one call over their
+    stack, exp(G h) or T_4(h G), and their samples as powers of p; above it,
+    segments of 1-2 steps within the last Taylor bound apply T_m(h G) to u
+    step by step.
     """
     order = us.shape[1]
     g = g.reshape(-1, order, order)
-    if piecewise:
-        # the least degree whose bound covers h norm(G, 1); 0 past the last
-        degrees = _DEGREES[np.searchsorted(_THETAS, h * np.abs(g).sum(axis=1).max(axis=1))]
-    else:
-        # held samples: classical RK4 with the generator frozen per segment,
-        # which is T_4(hG) exactly
-        degrees = np.full(len(g), 4)
-    batch = {}
-    if order <= STEP_BATCH_MAX_ORDER:
-        short = np.flatnonzero((steps <= 2) & (degrees > 0))
-        if short.size:
-            x = g[short]
-            x *= h[short, None, None]
-            batch = dict(zip(short.tolist(), _taylor_stack(x, degrees[short].max())))
+    degrees, formed = [0] * len(g), slice(None)  # degree 0: the segment forms p
+    if order > STEP_BATCH_MAX_ORDER:
+        # the least degree whose bound covers h norm(G, 1), 0 past the last;
+        # held samples take classical RK4 under the frozen G, T_4(hG) exactly
+        least = (_DEGREES[np.searchsorted(_THETAS, h * np.abs(g).sum(axis=1).max(axis=1))]
+                 .tolist() if piecewise else [4] * len(g))
+        degrees = [d if n <= 2 else 0 for n, d in zip(steps, least)]
+        formed = [k for k, d in enumerate(degrees) if not d]
+    if formed:  # a slice, or a list that may be empty
+        x, t = g[formed], h[formed, None, None]
+        ps = iter(expm(x, t) if piecewise else _taylor(x, t, None, 4))
     i = 0
-    for k, (n, hk, degree) in enumerate(zip(steps.tolist(), h.tolist(), degrees.tolist())):
-        gen, p = g[k], batch.get(k)
-        if p is None and (n > 2 or not degree):
-            p = expm(gen, hk) if piecewise else _taylor(gen, hk, np.eye(order), degree)
-        if p is None:
+    for k, (n, hk, degree) in enumerate(zip(steps.tolist(), h.tolist(), degrees)):
+        if degree:
             for j in range(i + 1, i + n + 1):
-                us[j] = _taylor(gen, hk, us[j - 1], degree)
+                us[j] = _taylor(g[k], hk, us[j - 1], degree)
         else:
-            _powers(p, us[i:i + n + 1])
+            _powers(next(ps), us[i:i + n + 1])
         i += n
 
 
@@ -300,18 +288,6 @@ def _check_rk4_steps(gens, rows, h):
                             np.floor(dt / unit) * unit))
 
 
-def _taylor_stack(x, degree):
-    """T_m(X) = sum_{k <= m} X^k / k! for every X of the stack x, by Horner's rule, m = degree."""
-    eye = np.eye(x.shape[-1])
-    p = x * (1.0 / degree)
-    p += eye
-    for k in range(degree - 1, 0, -1):
-        p = x @ p
-        p *= 1.0 / k
-        p += eye
-    return p
-
-
 def _powers(p, us):
     """Fill us[k] = p^k us[0] for k >= 1 in place, by doubling.
 
@@ -331,10 +307,19 @@ def _powers(p, us):
 
 
 def _taylor(gen, t, u, degree):
-    """T_m(tG) u = sum_{k <= m} (tG)^k u / k! by Horner's rule, m = degree."""
-    v = u
-    for k in range(degree, 0, -1):
-        v = u + (t / k) * (gen @ v)
+    """T_m(tG) u = sum_{k <= m} (tG)^k u / k! by Horner's rule, m = degree; G may be a stack.
+
+    u = None stands for the identity: T_m(tG) itself, without the product G I.
+    """
+    if u is None:
+        u, v = np.eye(gen.shape[-1]), gen * (t / degree)
+    else:
+        v = gen @ u * (t / degree)
+    v += u
+    for k in range(degree - 1, 0, -1):
+        v = gen @ v
+        v *= t / k
+        v += u
     return v
 
 
@@ -471,8 +456,10 @@ class SweepReport:
     norm(c) = 1, and the discriminant c2^2 - 4 c1 c3 classifies the curve:
     kind is "parabola" when its modulus is at most CONIC_DISCRIMINANT_TOL
     times c1^2 + c2^2 + c3^2, else "ellipse" (negative) or "hyperbola"
-    (positive). Collinear or coincident points are reported with kind
-    "degenerate", not raised.
+    (positive); "not a conic" when either residual passes CONIC_FIT_TOL of
+    its scale, since at N >= 3 the locus need not be planar or conic.
+    Collinear or coincident points are reported with kind "degenerate", not
+    raised.
     """
 
     amplitudes: np.ndarray
@@ -565,6 +552,9 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
             coeffs = -coeffs
         residual = float(np.max(np.abs(design @ coeffs)))
         disc, kind = _classify_conic(coeffs)
+        if (plane_residual > CONIC_FIT_TOL * np.linalg.norm(rel, axis=1).max()
+                or residual > CONIC_FIT_TOL * np.linalg.norm(design, axis=1).max()):
+            kind = "not a conic"
     return SweepReport(
         amplitudes=amplitudes,
         points=points,

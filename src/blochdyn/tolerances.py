@@ -51,6 +51,12 @@ DEGENERATE_CONIC_TOL = 1e-12
 # extents 0.01-1 and height/width 0.1-1000, fit to at most 3.3e-11; an
 # ellipse falls below 1e-9 only when its axes differ by more than 6e4
 CONIC_DISCRIMINANT_TOL = 1e-9
+# a sweep is "not a conic" when its plane residual passes this times the
+# largest distance of a point from the centre, or its conic residual this times
+# the largest row norm of the design matrix. 400 seeded dipole ladders, N = 2-5
+# and 300-1,500 points, peak at 2.8e-11 (plane) and 4.2e-16 (conic); 60 sweeps
+# of a control coupling every pair, N = 3 and 4, stay above 5.2e-2 and 1.4e-3
+CONIC_FIT_TOL = 1e-6
 # default sample_dt keeps norm(L) * dt at or below this for every segment
 SAMPLE_STEP_NORM = 0.1
 # an RK4 step h under a held G(f) is refused when h rho(A(f)) passes this:
@@ -61,22 +67,22 @@ SAMPLE_STEP_NORM = 0.1
 # The tests reach h rho(A) = 1.37, acceptance 09 0.19, the shipped sampled
 # template 0.025; the default grid stays at or below SAMPLE_STEP_NORM
 RK4_STEP_BOUND = 1.5
-# propagate forms the step operators T_m(hG) of all segments of one or two
-# steps together when G is at most STEP_BATCH_MAX_ORDER square; larger G keep
-# the per-step action. A numpy call costs ~2 us whatever its size at
-# n <= 64, while the batched Horner products grow as N^6. 200 slices of
+# propagate forms every segment's step operator, one call per block, when G
+# is at most STEP_BATCH_MAX_ORDER square; above it, segments of one or two
+# steps apply T_m(hG) to u instead. A numpy call costs ~2 us whatever its size
+# at n <= 64, while the batched Horner products grow as N^6. 200 slices of
 # 0.6-1.4 steps, us per slice per step -> batched (exact / RK4, one BLAS
 # thread, interleaved in one process): N = 4 50.9 -> 20.7 / 31.7 -> 17.3,
 # N = 5 55.1 -> 34.5 / 34.1 -> 24.6, N = 6 60.2 -> 57.0 / 38.4 -> 37.0,
 # N = 7 71.5 -> 106 / 46.3 -> 64.9, N = 8 87.4 -> 178 / 59.0 -> 107
 STEP_BATCH_MAX_ORDER = 36
-# propagate forms the generators G(f_k), their norms and the batched step
-# operators of as many consecutive segments at a time as this many bytes of
-# G hold (202 at N = 3, 26 at N = 5, 4 at N = 8), which bounds the memory of
-# a call: 20,000 slices at N = 5 at once would hold 100 MB per array. 200
-# slices at each of N = 3, 5, 8, both field kinds, ran 1.47/1.60/1.58 times
-# faster than with per-segment set-up at 2^16/2^17/2^18 bytes (interleaved
-# in one process, one BLAS thread)
+# propagate forms the generators G(f_k) and the step operators of as many
+# consecutive segments at a time as this many bytes of G hold (202 at N = 3,
+# 26 at N = 5, 4 at N = 8), which bounds the memory of a call: 20,000 slices
+# at N = 5 at once would hold 100 MB per array. 200 slices at each of N = 3,
+# 5, 8, both field kinds, ran 1.47/1.60/1.58 times faster than with
+# per-segment set-up at 2^16/2^17/2^18 bytes (interleaved in one process, one
+# BLAS thread)
 STEP_BATCH_BYTES = 2 ** 17
 # a segment of duration d takes ceil(d / dt - GRID_STEP_SLACK) equal steps,
 # so that rounding just above an integer adds no step

@@ -141,6 +141,17 @@ def test_closure_depth_limit_raises_with_partial():
         assert lie_closure(list(partial.elements)).dim == 72
 
 
+def test_closure_stops_when_the_last_allowed_round_adds_nothing():
+    # so(3) from J_x and J_y: round 1 adds J_z and round 2 adds nothing, so
+    # two rounds prove closure; one round leaves J_z's brackets untried
+    jx = np.array([[0.0, 0, 0], [0, 0, -1], [0, 1, 0]])
+    jy = np.array([[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]])
+    assert lie_closure([jx, jy], max_depth=2).dim == 3
+    with pytest.raises(ClosureError) as err:
+        lie_closure([jx, jy], max_depth=1)
+    assert err.value.partial.dim == 3
+
+
 def test_closure_input_validation():
     with pytest.raises(ValueError):
         lie_closure([])

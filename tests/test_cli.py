@@ -1,6 +1,7 @@
 """Config parsing and command-line interface tests (in-process, except the import probes)."""
 
 import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from blochdyn.config import (
 )
 from blochdyn.dynamics import propagate
 from blochdyn.errors import ConfigError, PhysicsError, UnphysicalStateError
+from blochdyn.model import ControlSystem
 
 BASE = {
     "system": {
@@ -525,6 +527,31 @@ def test_analyze_stdout_mentions_key_facts(tmp_path, capsys):
     assert "overlap" in text
     assert "closure" in text
     assert "spectrum" in text or "eigenvalue" in text
+
+
+def test_analyze_names_the_support_overlap_of_a_diagonal_control(capsys):
+    # a config's dipoles never touch the dissipator's entries; a sigma_z-type
+    # control, from a RunConfig built in code, shares the dephasing entries
+    cfg = load_template("driven_qubit")
+    system = ControlSystem(h0=cfg.system.h0, controls=(np.diag([1.0, -1.0]),),
+                           hbar=cfg.system.hbar)
+    assert cli.cmd_analyze(dataclasses.replace(cfg, system=system)) == 0
+    assert "control/dissipator support overlap: (1,1), (2,2)\n" in capsys.readouterr().out
+
+
+def test_sweep_that_is_not_a_conic_still_writes_its_points(tmp_path, capsys):
+    # a control coupling every pair of a three-level ladder leaves the plane,
+    # which only a RunConfig built in code can express
+    cfg = load_template("three_level_ladder")
+    a = np.random.default_rng(33).standard_normal((3, 3, 2)) @ [1.0, 1j]
+    system = ControlSystem(h0=cfg.system.h0, controls=(a + a.conj().T,), hbar=cfg.system.hbar)
+    out = tmp_path / "sweep.csv"
+    amplitudes = np.linspace(-1.5, 1.5, 40)
+    assert cli.cmd_sweep(dataclasses.replace(cfg, system=system), out, 0, amplitudes) == 0
+    assert capsys.readouterr().out.startswith("conic fit: kind=not a conic\n")
+    rows = [line.split(",") for line in out.read_text().splitlines() if line[0] != "#"][1:]
+    assert [float(row[0]) for row in rows] == amplitudes.tolist()
+    assert all(len(row) == 10 for row in rows)
 
 
 def test_analyze_zero_dissipation_reports_nonunique(tmp_path, capsys):

@@ -37,7 +37,7 @@ from blochdyn.liouville import (_combine, build_dissipator, generator_pieces, to
                                 vectorize)
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
 from blochdyn.states import from_pure, to_coherence_vector
-from blochdyn.tolerances import GRID_STEP_SLACK, PROPAGATION_TOL, TAYLOR_THETA
+from blochdyn.tolerances import CONIC_FIT_TOL, GRID_STEP_SLACK, PROPAGATION_TOL, TAYLOR_THETA
 from test_propagation_properties import admissible_system
 
 OMEGA = 1.4
@@ -115,6 +115,22 @@ def test_expm_closed_forms(t):
     expected = np.exp(-rates * t)
     assert np.all(np.abs(np.diag(decay) - expected) <= 1e-14 * expected * max(1.0, rates[-1] * t))
     assert np.all(decay[~np.eye(3, dtype=bool)] == 0.0)
+
+
+def test_stacked_expm_matches_single_calls():
+    # one call over a stack runs Horner at the largest degree any matrix
+    # needs and squares each matrix its own number of times; with t per
+    # matrix or one t for all, each row is the single call's result
+    rng = np.random.default_rng(2005)
+    sys, spec = admissible_system(rng, 3)
+    pieces = np.array(affine_generator_set(sys, spec))
+    gens = np.array([_combine(pieces, f) for f in rng.uniform(-1.0, 1.0, (24, 2))])
+    t = np.logspace(-8, 3, 24) / np.abs(gens).sum(axis=1).max(axis=1)
+    for ts in (t, t[7]):
+        stacked = expm(gens, ts)
+        for g, tk, e in zip(gens, np.broadcast_to(ts, 24), stacked):
+            single = expm(g, tk)
+            assert np.max(np.abs(e - single)) <= 1e-15 * np.max(np.abs(single))
 
 
 def test_free_decay_matches_closed_form():
@@ -251,6 +267,17 @@ def test_default_grid_of_rates_whose_norm_overflows_is_refused():
     field = ControlField.constant([0.0, 0.0], duration=1.0)
     with pytest.raises(InputError, match="^sample_dt 0 gives inf samples .* past the 64 MB bound"):
         propagate(sys, spec, field, from_pure([1, 0]))
+
+
+def test_zero_generator_takes_one_sample_per_segment():
+    # G = 0 bounds no step, so the default grid is the whole duration and
+    # each segment is one step to its end
+    sys = ControlSystem(h0=np.zeros((2, 2)), controls=(np.array([[0.0, 1.0], [1.0, 0.0]]),))
+    field = ControlField(segments=((0.5, (0.0,)), (1.5, (0.0,)), (1.0, (0.0,))))
+    rho0 = from_pure([1, 1j])
+    traj = propagate(sys, DissipationSpec.zero(2), field, rho0)
+    np.testing.assert_array_equal(traj.times, [0.0, 0.5, 2.0, 3.0])
+    assert np.max(np.abs(traj.rho - rho0)) <= 1e-15
 
 
 def test_default_sample_dt_scales_with_generator_norm():
@@ -480,7 +507,7 @@ def test_short_slices_apply_the_exponential_without_forming_it(monkeypatch):
 
 @pytest.mark.parametrize("scale, dur", [
     (1e6, 1e-3),  # t norm(G, 1) far past the last Taylor bound: formed
-    (1.0, 0.5),  # within the bounds, though the degree exceeds len(u) = 4: applied
+    (1.0, 0.5),  # within the bounds at N = 2: formed with its block by the same one call
 ])
 def test_steps_past_the_taylor_bounds_form_the_exponential(monkeypatch, scale, dur):
     sys, spec = make_qubit(BIG_GAMMA * scale, G12 * scale, G21 * scale)
@@ -488,7 +515,7 @@ def test_steps_past_the_taylor_bounds_form_the_exponential(monkeypatch, scale, d
     calls = counting_expm(monkeypatch)
     traj = propagate(sys, spec, ControlField(segments=((dur, f),)), from_pure([1, 1]),
                      sample_dt=1.0)
-    assert calls == ([dur] if scale > 1.0 else [])
+    assert calls == [dur]
     expected = scipy.linalg.expm(total_generator(sys, spec, f) * dur) @ vectorize(from_pure([1, 1]))
     assert np.max(np.abs(traj.rho[-1] - expected.reshape(2, 2))) <= 1e-12
 
@@ -843,6 +870,21 @@ def test_sweep_points_satisfy_fitted_conic():
     vals = a * u[:, 0] ** 2 + b * u[:, 0] * u[:, 1] + c * u[:, 1] ** 2
     vals += d * u[:, 0] + e * u[:, 1] + f
     assert np.max(np.abs(vals)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_sweep_of_a_control_coupling_every_pair_is_not_a_conic(dim):
+    # at N >= 3 the locus -A(a)^-1 b(a) need not lie in a plane or on a
+    # conic; a random Hermitian control leaves the plane residual far past
+    # the bound, and the discriminant alone would still name a curve
+    rng = np.random.default_rng(30 + dim)
+    sys, spec = admissible_system(rng, dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    coupled = ControlSystem(h0=sys.h0, controls=(a + a.conj().T,), hbar=sys.hbar)
+    report = steady_state_sweep(coupled, spec, 0, np.linspace(-1.5, 1.5, 40))
+    assert report.kind == "not a conic"
+    extent = np.linalg.norm(report.points - report.center, axis=1).max()
+    assert report.plane_residual > 1e3 * CONIC_FIT_TOL * extent
 
 
 def test_sweep_degenerate_when_translations_vanish():

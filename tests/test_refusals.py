@@ -1,0 +1,72 @@
+"""Argument refusals across the library: each raises its error type with a message naming it.
+
+Every row of REFUSALS is a call that an earlier guard does not catch first,
+so the row reaches the check it names.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from blochdyn.bloch import AffineGenerator, to_affine
+from blochdyn.cli import main
+from blochdyn.config import template_text
+from blochdyn.dynamics import propagate
+from blochdyn.errors import InputError
+from blochdyn.liouville import devectorize, qubit_superoperators, support_overlap, vectorize
+from blochdyn.model import (ControlField, ControlSystem, DissipationSpec, qubit_system,
+                            transition_frequency)
+from blochdyn.states import check_density, gell_mann_basis
+
+QUBIT = qubit_system(0.0, 1.0, d1=1.0, d2=0.5)
+LADDER = ControlSystem(h0=np.diag([0.0, 1.0, 2.5]), controls=())
+REFUSALS = {
+    "control_shape": (lambda: ControlSystem(h0=np.eye(2), controls=(np.eye(3),)),
+                      ValueError, "control 0 dimension differs from h0"),
+    "nan_field_value": (lambda: ControlField(segments=((1.0, (np.nan, 0.0)),)),
+                        ValueError, "field values must be finite"),
+    "no_segments": (lambda: ControlField(segments=()),
+                    ValueError, "field needs at least one segment"),
+    "one_level_transition": (lambda: transition_frequency(LADDER, 1, 1),
+                             ValueError, "transition needs two distinct levels"),
+    "one_level_basis": (lambda: gell_mann_basis(1), ValueError, "dimension must be at least 2"),
+    "non_square_density": (lambda: check_density(np.ones((2, 3))),
+                           InputError, "density matrix must be square"),
+    "state_of_other_dimension": (
+        lambda: propagate(QUBIT, DissipationSpec.zero(2),
+                          ControlField(segments=((1.0, (0.0, 0.0)),)), np.eye(3) / 3),
+        InputError, "system, dissipation and state dimensions differ"),
+    "vectorize_non_square": (lambda: vectorize(np.ones((2, 3))),
+                             ValueError, "expected a square matrix"),
+    "devectorize_non_square_length": (lambda: devectorize(np.ones(5)),
+                                      ValueError, "vector length 5 is not a perfect square"),
+    "qubit_superoperators_of_three_levels": (
+        lambda: qubit_superoperators(LADDER, DissipationSpec.zero(3)),
+        ValueError, "explicit superoperators are defined for two levels"),
+    "overlap_of_other_dimensions": (lambda: support_overlap([np.ones((4, 4))], np.ones((9, 9))),
+                                    ValueError, "control and dissipator dimensions differ"),
+    "affine_b_of_other_length": (lambda: AffineGenerator(a=np.eye(2), b=np.ones(3)),
+                                 ValueError, "A must be square with matching b"),
+    "superoperator_non_square_size": (lambda: to_affine(np.ones((5, 5))),
+                                      ValueError, "superoperator size must be a perfect square"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_call_raises_its_error_with_its_message(case):
+    call, error, fragment = REFUSALS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert fragment in str(err.value)
+
+
+def test_all_zero_pure_state_is_a_config_error(tmp_path, capsys):
+    doc = json.loads(template_text("driven_qubit"))
+    doc["initial"] = {"pure": [[0.0, 0.0], [0.0, 0.0]]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: initial.pure: ")
+    assert captured.out == "" and not (tmp_path / "x.csv").exists()

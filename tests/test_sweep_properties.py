@@ -19,7 +19,7 @@ from blochdyn import dynamics
 from blochdyn.algebra import affine_generator_set
 from blochdyn.config import load_template
 from blochdyn.model import DissipationSpec
-from blochdyn.tolerances import SINGULAR_RATIO, SWEEP_ANCHOR_STRIDE
+from blochdyn.tolerances import CONIC_FIT_TOL, SINGULAR_RATIO, SWEEP_ANCHOR_STRIDE
 from test_propagation_properties import admissible_system
 
 PROPERTIES = settings(derandomize=True, max_examples=200, deadline=None)
@@ -89,6 +89,22 @@ def test_anchored_verdict_near_a_singular_amplitude(n, seed, log_ratio, log_spre
     drift[:-1, -1] = rng.standard_normal(n)
     near = a_star + 10.0 ** log_spread * rng.uniform(-1.0, 1.0, size - 1)
     assert_same_verdict(drift, control, scrambled(rng, np.append(near, a_star), duplicates))
+
+
+@PROPERTIES
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(6, 400), span=st.floats(0.1, 20.0))
+def test_admissible_qubits_sweep_to_a_conic(seed, size, span):
+    # the paper's qubit result: a swept control moves the attractor along a
+    # conic, so both fit residuals stay within CONIC_FIT_TOL of their scales
+    rng = np.random.default_rng(seed)
+    sys, spec = admissible_system(rng, 2)
+    report = dynamics.steady_state_sweep(sys, spec, 0, rng.uniform(-span, span, size))
+    assert report.kind in ("ellipse", "parabola", "hyperbola")
+    rel = report.points - report.center
+    assert report.plane_residual <= CONIC_FIT_TOL * np.linalg.norm(rel, axis=1).max()
+    u, v = (rel @ report.plane_basis.T).T
+    design = np.column_stack([u * u, u * v, v * v, u, v, np.ones_like(u)])
+    assert report.conic_residual <= CONIC_FIT_TOL * np.linalg.norm(design, axis=1).max()
 
 
 def test_well_conditioned_sweep_decomposes_only_the_anchors(monkeypatch):
