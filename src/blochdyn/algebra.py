@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import AffineGenerator, to_affine
-from .errors import ClosureError
+from .bloch import AffineGenerator, _affine_images
+from .errors import ClosureError, InputError
 from .liouville import generator_pieces
 from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM
 
@@ -26,9 +26,9 @@ MAX_DEPTH = 8
 
 @dataclass(frozen=True)
 class LieBasis:
-    """Orthonormal basis (Frobenius inner product) of a matrix Lie algebra."""
+    """Orthonormal basis (Frobenius inner product) of a matrix Lie algebra, a (dim, n, n) array."""
 
-    elements: tuple
+    elements: np.ndarray
     ambient_dim: int
 
     @property
@@ -63,7 +63,7 @@ def complex_to_real(m):
 
 
 def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
-    """Commutator closure of a list of real square matrices.
+    """Commutator closure of a (K, n, n) stack, or list, of real square matrices.
 
     The generators are normalized to unit Frobenius norm and the basis is
     kept orthonormal, so a bracket of two basis elements has norm at most 2
@@ -73,21 +73,21 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
     relaxation) would count as translations. When every n x n generator has
     an exactly zero last row (affine embeddings), so does every commutator,
     and the closure stops as soon as it spans all n(n-1) such directions.
-    Generators that all vanish generate the zero algebra, of dim 0. Raises
+    Generators that all vanish generate the zero algebra, of dim 0.
+    Non-finite generators raise InputError (a ValueError). Raises
     ClosureError (with the partial basis attached) when max_depth rounds do
     not reach closure.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mats = [np.asarray(g, dtype=float) for g in generators]
-    if not mats:
-        raise ValueError("need at least one generator")
-    n = mats[0].shape[0]
-    for g in mats:
-        if g.shape != (n, n):
-            raise ValueError("generators must share a common square shape")
+    mats = np.asarray(generators, dtype=float)
+    if mats.ndim != 3 or not len(mats) or mats.shape[1] != mats.shape[2]:
+        raise ValueError("need one or more generators of a common square shape")
+    if not np.isfinite(mats).all():
+        raise InputError("generators must be finite")
+    n = mats.shape[1]
 
-    cap = n * (n - 1) if all(not g[-1].any() for g in mats) else n * n
+    cap = n * (n - 1) if not mats[:, -1].any() else n * n
     q = np.empty((cap, n * n))    # orthonormal vectorized basis, row per element
 
     def try_add(v, k):
@@ -101,9 +101,9 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
         return k + 1
 
     def result(k):
-        return LieBasis(elements=tuple(q[:k].reshape(k, n, n).copy()), ambient_dim=n)
+        return LieBasis(elements=q[:k].reshape(k, n, n).copy(), ambient_dim=n)
 
-    rows = np.array(mats).reshape(len(mats), n * n)
+    rows = mats.reshape(len(mats), n * n)
     # scaled by each row's largest entry first: squaring 1e200 overflows
     scale = np.maximum(np.abs(rows).max(axis=1), np.finfo(float).tiny)
     rows = rows / scale[:, None]
@@ -154,31 +154,28 @@ def affine_generator_set(sys, spec):
     """Embedded affine images [[A, b], [0, 0]] of the generator pieces.
 
     One matrix each for L0, for every L_m and for L_D, in the order of
-    liouville.generator_pieces, returned as a list. Weighted by
-    (1, f_1..f_M, 1) they sum to the affine generator G(f) that propagation
-    and the steady states use; their closure is the full dynamical algebra
-    on the coherence vector.
+    liouville.generator_pieces. Weighted by (1, f_1..f_M, 1) they sum to the
+    affine generator G(f) that propagation and the steady states use; their
+    closure is the full dynamical algebra on the coherence vector. They are
+    formed together from the stack of pieces, by one basis change, and
+    returned as a list of its rows: perfbench/tracing.py reads the closure
+    counters of its traced runs only from list or tuple input to lie_closure.
     """
-    return _affine_images(generator_pieces(sys, spec))
-
-
-def _affine_images(pieces):
-    """[[A, b], [0, 0]] embeddings of a list of trace-preserving generator pieces."""
-    return [affine_embed(to_affine(p)) for p in pieces]
+    return list(_affine_images(generator_pieces(sys, spec)))
 
 
 def decompose_inhomogeneous(basis, tol=CLOSURE_TOL):
-    """(homogeneous rank, translation rank) of an affine-embedded basis."""
+    """(homogeneous rank, translation rank) of an affine-embedded, finite basis."""
     if basis.dim == 0:
         return (0, 0)
     n = basis.ambient_dim - 1
-    lastrows = np.array([np.max(np.abs(m[n, :])) for m in basis.elements])
-    if np.max(lastrows) > tol:
+    mats = np.asarray(basis.elements, dtype=float)
+    if not np.isfinite(mats).all():
+        raise InputError("basis elements must be finite")
+    if np.max(np.abs(mats[:, n])) > tol:
         raise ValueError("affine embedding required: last rows must vanish")
-    homog = np.array([m[:n, :n].reshape(-1) for m in basis.elements])
-    trans = np.array([m[:n, n] for m in basis.elements])
-    s_hom = np.linalg.svd(homog, compute_uv=False)
-    s_trans = np.linalg.svd(trans, compute_uv=False)
+    s_hom = np.linalg.svd(mats[:, :n, :n].reshape(len(mats), -1), compute_uv=False)
+    s_trans = np.linalg.svd(mats[:, :n, n], compute_uv=False)
     # one common scale: a block that is numerically zero relative to the
     # basis as a whole must not inflate its own rank
     scale = max(s_hom[0] if s_hom.size else 0.0, s_trans[0] if s_trans.size else 0.0)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .liouville import build_dissipator, trace_residual
 from .states import _extraction_maps, _margins
 from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled
@@ -38,20 +39,34 @@ def to_affine(superop):
 
     b is the image of the maximally mixed state; columns of A come from the
     coherence basis directions. Inputs that do not conserve the trace have
-    no affine restriction and are rejected.
+    no affine restriction and are rejected, and so are non-finite ones.
     """
     superop = np.asarray(superop, dtype=complex)
     dim = int(round(np.sqrt(superop.shape[0])))
     if dim * dim != superop.shape[0]:
         raise ValueError("superoperator size must be a perfect square")
+    if not np.isfinite(superop).all():
+        raise InputError("superoperator must be finite")
     if exceeds_scaled(trace_residual(superop), float(np.max(np.abs(superop))),
                       GENERATOR_TRACE_TOL):
         raise ValueError("population not conserved: trace functional is not a left null vector")
-    r, e, mixed = _extraction_maps(dim)
-    rl = r @ superop
-    a = np.real(rl @ e)
-    b = np.real(rl @ mixed)
-    return AffineGenerator(a=a, b=b)
+    m = _affine_images(superop[None])[0]
+    return AffineGenerator(a=m[:-1, :-1], b=m[:-1, -1])
+
+
+def _affine_images(pieces):
+    """[[A, b], [0, 0]] images of a (K, N^2, N^2) stack of generators to_affine would pass.
+
+    R L is a product of its own, then @ E and @ vec(I)/N: one product with
+    [E, vec(I)/N] would round some entries differently.
+    """
+    r, e, mixed = _extraction_maps(round(pieces.shape[-1] ** 0.5))
+    n = len(r)
+    rl = r @ pieces
+    out = np.zeros((len(pieces), n + 1, n + 1))
+    out[:, :n, :n] = (rl @ e).real
+    out[:, :n, n] = (rl @ mixed).real
+    return out
 
 
 def quasi_spin_translation(spec):

@@ -10,11 +10,14 @@ Exit codes: 0 success, 2 configuration error, 3 physics/feasibility error.
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
-from .algebra import _affine_images, decompose_inhomogeneous, hamiltonian_algebra, lie_closure
+from .algebra import decompose_inhomogeneous, hamiltonian_algebra, lie_closure
+from .bloch import _affine_images
 from .config import load_config, template_names, template_text
 from .dynamics import _fixed_points, propagate, semigroup_spectrum, steady_state_sweep
 from .errors import ConfigError, PhysicsError
@@ -32,10 +35,20 @@ def _bloch_labels(dim):
     return ["v%d" % (a + 1) for a in range(dim * dim - 1)]
 
 
+@contextmanager
+def _writing(path):
+    """path opened for writing with LF endings; an OSError on the way is a ConfigError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc.strerror)) from exc
+
+
 def _write_table(path, preamble, header, rows):
     # LF endings and 17 significant digits keep reruns byte-identical
     fmt = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="") as fh:
+    with _writing(path) as fh:
         for line in preamble:
             fh.write("# %s\n" % line)
         fh.write(",".join(header) + "\n")
@@ -79,7 +92,8 @@ def analyze_report(cfg):
     """Structural analysis of the configured system as a plain dict; one generator build."""
     sys_, spec = cfg.system, cfg.dissipation
     pieces = generator_pieces(sys_, spec)
-    gens = _affine_images(pieces)
+    # a list, as affine_generator_set returns and for the same reason
+    gens = list(_affine_images(pieces))
     overlap = support_overlap(pieces[1:-1], pieces[-1])
     ham = hamiltonian_algebra(sys_)
     closure = lie_closure(gens)
@@ -143,7 +157,7 @@ def cmd_analyze(cfg, out=None):
     report = analyze_report(cfg)
     _print_analysis(report)
     if out:
-        with open(out, "w", newline="") as fh:
+        with _writing(out) as fh:
             fh.write(json.dumps(report, sort_keys=True, indent=2))
             fh.write("\n")
     return 0
@@ -182,7 +196,7 @@ def cmd_sweep(cfg, out, control=None, amplitudes=None):
 def cmd_template(name, out=None):
     text = template_text(name)
     if out:
-        with open(out, "w", newline="") as fh:
+        with _writing(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -231,6 +245,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # refused before any work: the parent directory of --out must exist
+        if args.out is not None and (os.path.isdir(args.out)
+                                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ConfigError("--out %s is a directory or lies in a missing one" % args.out)
         if args.command == "template":
             return cmd_template(args.name, out=args.out)
         if args.command == "simulate":

@@ -154,14 +154,14 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     a block of segments (STEP_BATCH_BYTES) forms their p, and each segment
     takes its samples p^k u by doubling; above STEP_BATCH_MAX_ORDER,
     segments of one or two steps within the last Taylor bound apply the
-    least-degree Taylor polynomial to u step by step instead. Zero
-    dissipation gives unitary evolution. Every sample is checked for
-    validity; the trace must hold to 1e-9 and Hermiticity/positivity to
+    least-degree Taylor polynomial to u step by step instead. Zero dissipation
+    gives unitary evolution. Every sample is checked for validity; the trace
+    must hold to STATE_TRACE_TOL and Hermiticity and positivity to
     validity_tol, which must be positive and finite. The samples are checked
     together once computed, first by a Cholesky certificate that needs no
-    eigenvalues; when it proves nothing, check_density decides and its
-    error names the first failing sample. Before the first step, InputError
-    (a ValueError) refuses a segment whose amplitudes _admit refuses or whose
+    eigenvalues; when it proves nothing, check_density decides and its error
+    names the first failing sample. Before the first step, InputError (a
+    ValueError) refuses a segment whose amplitudes _admit refuses or whose
     Hamiltonian phase, its duration times the largest entry bound of
     A0 + sum_m f_m A_m (the dissipator left out), passes MAX_PHASE; a
     sample_dt not positive and finite or whose grid passes MAX_SAMPLE_BYTES;
@@ -354,12 +354,14 @@ def semigroup_spectrum(gen):
     exp(gen t) stays bounded for all t >= 0 but generally blows up for t < 0,
     which is what restricts the dynamics to a one-parameter semigroup.
     zero_modes counts steady-state candidates, the eigenvalues whose modulus
-    is within that same scaled tolerance of zero.
+    is within that same scaled tolerance of zero. InputError refuses a non-finite gen.
     """
     if isinstance(gen, AffineGenerator):
         mat = gen.a
     else:
         mat = np.asarray(gen)
+    if not np.isfinite(mat).all():
+        raise InputError("generator must be finite")
     eig = np.linalg.eigvals(mat)
     order = np.lexsort((eig.imag, -eig.real))
     eig = eig[order]

@@ -112,7 +112,7 @@ def qubit_superoperators(sys, spec):
 
 
 def generator_pieces(sys, spec):
-    """The list [L0, L_1..L_M, L_D] of N^2 x N^2 generator pieces.
+    """The (M + 2, N^2, N^2) stack [L0, L_1..L_M, L_D] of generator pieces.
 
     L0 and L_m are the commutator superoperators (1/i hbar)[H0, .] and
     (1/i hbar)[H_m, .], L_D is the dissipator, so that the generator at
@@ -124,9 +124,9 @@ def generator_pieces(sys, spec):
     # -1e308)); that is reported here once rather than as warnings and NaN
     # states downstream
     with np.errstate(over="ignore", invalid="ignore"):
-        pieces = [_commutator(h, sys.hbar) for h in (sys.h0,) + sys.controls]
-        pieces.append(build_dissipator(spec))
-    if not all(np.isfinite(p).all() for p in pieces):
+        pieces = np.array([_commutator(h, sys.hbar) for h in (sys.h0,) + sys.controls]
+                          + [build_dissipator(spec)])
+    if not np.isfinite(pieces).all():
         raise InputError("generator pieces overflow: Hamiltonian or rates too large")
     return pieces
 
@@ -173,7 +173,7 @@ def _admit(pieces, rows, name):
 
 def total_generator(sys, spec, f):
     """L(f) = L0 + sum_m f_m L_m + L_D from generator_pieces, for constant amplitudes f."""
-    pieces = np.array(generator_pieces(sys, spec))
+    pieces = generator_pieces(sys, spec)
     _admit(pieces, [np.atleast_1d(f)], lambda k: "f")
     return _combine(pieces, f)
 
@@ -199,12 +199,9 @@ def support_overlap(controls, dissipator):
     entrywise: the two act on disjoint matrix elements.
     """
     dissipator = np.asarray(dissipator, dtype=complex)
-    dmask = dissipator != 0
-    cmask = np.zeros_like(dmask)
-    for c in controls:
-        c = np.asarray(c, dtype=complex)
-        if c.shape != dissipator.shape:
-            raise ValueError("control and dissipator dimensions differ")
-        cmask |= c != 0
-    rows, cols = np.nonzero(dmask & cmask)
+    controls = np.asarray(controls, dtype=complex)
+    if len(controls) and controls.shape[1:] != dissipator.shape:
+        raise ValueError("control and dissipator dimensions differ")
+    # no controls reduce to a scalar False, which empties the overlap
+    rows, cols = np.nonzero((dissipator != 0) & (controls != 0).any(axis=0))
     return tuple(sorted(zip(rows.tolist(), cols.tolist())))

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from blochdyn import algebra, bloch
 from blochdyn.algebra import (
     affine_embed,
     affine_generator_set,
@@ -13,8 +14,11 @@ from blochdyn.algebra import (
     hamiltonian_algebra,
     lie_closure,
 )
+from blochdyn.bloch import to_affine
 from blochdyn.errors import ClosureError
+from blochdyn.liouville import generator_pieces
 from blochdyn.model import ControlSystem, DissipationSpec, qubit_system
+from test_propagation_properties import admissible_system
 
 
 def make_qubit(g12=0.2, g21=0.08, big_gamma=0.35):
@@ -199,6 +203,30 @@ def test_quasi_spin_ladder_closure_has_no_translations():
     basis = lie_closure(affine_generator_set(sys, spec))
     assert basis.dim == 64
     assert decompose_inhomogeneous(basis) == (64, 0)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_affine_generator_set_equals_the_per_piece_path_bit_for_bit(dim):
+    # to_affine and affine_embed, one piece at a time, stay the reference
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        sys, spec = admissible_system(rng, dim)
+        rows = affine_generator_set(sys, spec)
+        expected = [affine_embed(to_affine(p)) for p in generator_pieces(sys, spec)]
+        assert isinstance(rows, list) and len(rows) == len(expected) == dim + 1
+        assert [r.tobytes() for r in rows] == [e.tobytes() for e in expected]
+
+
+def test_affine_generator_set_makes_no_per_piece_call(monkeypatch):
+    calls = []
+    for module in (bloch, algebra):
+        for name in ("to_affine", "affine_embed"):
+            if hasattr(module, name):
+                wrapped = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, _f=wrapped, _n=name:
+                                    calls.append(_n) or _f(*args))
+    assert len(affine_generator_set(*make_ladder())) == 4
+    assert calls == []
 
 
 def test_decompose_requires_affine_embedding():

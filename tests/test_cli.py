@@ -2,7 +2,9 @@
 
 import copy
 import dataclasses
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -889,3 +891,55 @@ def test_each_command_builds_the_generator_twice(tmp_path, capsys, monkeypatch, 
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 0
     capsys.readouterr()
     assert len(builds) == 2
+
+
+def _argv(command, cfg, out):
+    if command == "template":
+        return ["template", "driven_qubit", "--out", str(out)]
+    return [command, "--config", str(cfg), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep", "template"])
+@pytest.mark.parametrize("case", ["missing_directory", "directory"])
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                   case):
+    # without the check, each command did all its work and then failed to
+    # open --out with a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(template_text("driven_qubit"))
+    for name in ("load_config", "template_text"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("work before the --out check"))
+    target = tmp_path / "target"
+    target.mkdir()
+    out = target / "missing" / "x.out" if case == "missing_directory" else target
+    assert main(_argv(command, cfg, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --out %s is a directory or lies in a missing one\n" % out
+    # nothing on stdout, and no file or directory made
+    assert captured.out == "" and not any(target.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep", "template"])
+def test_failed_write_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(template_text("driven_qubit"))
+
+    def full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    assert main(_argv(command, cfg, tmp_path / "x.out")) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: cannot write %s: %s\n" % (tmp_path / "x.out",
+                                                          os.strerror(errno.ENOSPC))
+
+
+def test_analyze_without_controls_has_an_empty_overlap(tmp_path, capsys):
+    doc = json.loads(template_text("three_level_ladder"))
+    doc["system"]["dipoles"] = []
+    del doc["sweep"]
+    for segment in doc["field"]["segments"]:
+        segment["values"] = []
+    assert main(["analyze", "--config", write_config(tmp_path, doc)]) == 0
+    assert ("control/dissipator support overlap: empty (cancellation infeasible: controls "
+            "cannot reach the dissipator entries)\n") in capsys.readouterr().out

@@ -172,6 +172,12 @@ def test_support_overlap_reports_shared_entries():
     assert support_overlap((a,), b) == ((1, 1),)
 
 
+def test_support_overlap_of_no_controls_is_empty():
+    _, spec = make_qubit()
+    assert support_overlap([], build_dissipator(spec)) == ()
+    assert support_overlap(np.zeros((0, 4, 4)), build_dissipator(spec)) == ()
+
+
 def test_support_overlap_empty_for_three_level_ladder():
     # Nearest-neighbour couplings leave column 1 and row N untouched in the
     # control superoperators, while the dissipator only populates those slots.

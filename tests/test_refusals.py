@@ -9,10 +9,11 @@ import json
 import numpy as np
 import pytest
 
+from blochdyn.algebra import LieBasis, decompose_inhomogeneous, lie_closure
 from blochdyn.bloch import AffineGenerator, to_affine
 from blochdyn.cli import main
 from blochdyn.config import template_text
-from blochdyn.dynamics import propagate
+from blochdyn.dynamics import propagate, semigroup_spectrum
 from blochdyn.errors import InputError
 from blochdyn.liouville import devectorize, qubit_superoperators, support_overlap, vectorize
 from blochdyn.model import (ControlField, ControlSystem, DissipationSpec, qubit_system,
@@ -50,6 +51,18 @@ REFUSALS = {
                                  ValueError, "A must be square with matching b"),
     "superoperator_non_square_size": (lambda: to_affine(np.ones((5, 5))),
                                       ValueError, "superoperator size must be a perfect square"),
+    # each of these four once gave an answer (a zero algebra, an all-NaN A)
+    # or numpy's LinAlgError
+    "closure_of_an_infinite_generator": (lambda: lie_closure([[[0.0, np.inf], [0.0, 0.0]]]),
+                                         InputError, "generators must be finite"),
+    "affine_image_of_a_nan_superoperator": (lambda: to_affine(np.full((4, 4), np.nan)),
+                                            InputError, "superoperator must be finite"),
+    "spectrum_of_a_nan_generator": (lambda: semigroup_spectrum(np.full((3, 3), np.nan)),
+                                    InputError, "generator must be finite"),
+    "split_of_a_basis_with_a_nan_element": (
+        lambda: decompose_inhomogeneous(LieBasis(elements=np.full((1, 3, 3), np.nan),
+                                                 ambient_dim=3)),
+        InputError, "basis elements must be finite"),
 }
 
 
