@@ -19,7 +19,7 @@ import numpy as np
 from .bloch import AffineGenerator, _affine_images
 from .errors import ClosureError, InputError
 from .liouville import generator_pieces
-from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM
+from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM, positive_finite
 
 MAX_DEPTH = 8
 
@@ -74,12 +74,11 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
     an exactly zero last row (affine embeddings), so does every commutator,
     and the closure stops as soon as it spans all n(n-1) such directions.
     Generators that all vanish generate the zero algebra, of dim 0.
-    Non-finite generators raise InputError (a ValueError). Raises
-    ClosureError (with the partial basis attached) when max_depth rounds do
-    not reach closure.
+    Non-finite generators, and a tol not positive and finite, raise
+    InputError (a ValueError). Raises ClosureError (with the partial basis
+    attached) when max_depth rounds do not reach closure.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    positive_finite("tol", tol)
     mats = np.asarray(generators, dtype=float)
     if mats.ndim != 3 or not len(mats) or mats.shape[1] != mats.shape[2]:
         raise ValueError("need one or more generators of a common square shape")
@@ -166,6 +165,7 @@ def affine_generator_set(sys, spec):
 
 def decompose_inhomogeneous(basis, tol=CLOSURE_TOL):
     """(homogeneous rank, translation rank) of an affine-embedded, finite basis."""
+    positive_finite("tol", tol)
     if basis.dim == 0:
         return (0, 0)
     n = basis.ambient_dim - 1

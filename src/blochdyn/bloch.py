@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError
 from .liouville import build_dissipator, trace_residual
 from .states import _extraction_maps, _margins
-from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled
+from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled, positive_finite
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,10 @@ def ball_containment(traj, tol=PROPAGATION_TOL):
     For two levels this is the Bloch-ball condition |v| <= 1; for more
     levels positivity of each stored density matrix is checked instead,
     with -min eigenvalue from states._margins as the excess measure.
-    Violations are reported, not raised.
+    Violations are reported, not raised; a tol not positive and finite
+    raises InputError.
     """
+    positive_finite("tol", tol)
     if traj.dim == 2:
         radius = traj.trace_part
         excess = np.linalg.norm(traj.bloch, axis=1) - radius

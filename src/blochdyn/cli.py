@@ -22,7 +22,7 @@ from .config import load_config, template_names, template_text
 from .dynamics import _fixed_points, propagate, semigroup_spectrum, steady_state_sweep
 from .errors import ConfigError, PhysicsError
 from .liouville import _combine, generator_pieces, support_overlap
-from .tolerances import PROPAGATION_TOL
+from .tolerances import PROPAGATION_TOL, positive_finite
 
 
 def _fmt(x):
@@ -203,13 +203,6 @@ def cmd_template(name, out=None):
     return 0
 
 
-def _positive_flag(name, value):
-    """A flag's value, which must be positive and finite when given."""
-    if value is not None and not 0.0 < value < float("inf"):
-        raise ConfigError("%s must be positive and finite, got %g" % (name, value))
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="blochdyn",
@@ -252,10 +245,10 @@ def main(argv=None):
         if args.command == "template":
             return cmd_template(args.name, out=args.out)
         if args.command == "simulate":
-            tol = _positive_flag("--tol", args.tol)
-            dt = _positive_flag("--sample-dt", args.sample_dt)
-            return cmd_simulate(load_config(args.config), args.out, sample_dt=dt,
-                                tol=PROPAGATION_TOL if tol is None else tol)
+            # propagate's own rule, applied here so that the error names the flag
+            tol = PROPAGATION_TOL if args.tol is None else positive_finite("--tol", args.tol)
+            dt = None if args.sample_dt is None else positive_finite("--sample-dt", args.sample_dt)
+            return cmd_simulate(load_config(args.config), args.out, sample_dt=dt, tol=tol)
         cfg = load_config(args.config)
         if args.command == "analyze":
             return cmd_analyze(cfg, out=args.out)

@@ -43,14 +43,15 @@ import numpy as np
 from .algebra import affine_generator_set
 from .bloch import AffineGenerator
 from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
-from .liouville import _admit, _combine, vectorize
-from .states import CoherenceVector, _extraction_maps, _require_density, density_from_coordinates
+from .liouville import _admit, _combine
+from .states import (CoherenceVector, _require_density, density_from_coordinates,
+                     to_coherence_vector)
 from .tolerances import (CONIC_DISCRIMINANT_TOL, CONIC_FIT_TOL, DEGENERATE_CONIC_TOL,
                          EXPM_MAX_DEGREE, GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES,
                          PROPAGATION_TOL, RK4_STEP_BOUND, SAMPLE_STEP_NORM, SINGULAR_RATIO,
                          SPECTRUM_TOL, STEP_BATCH_BYTES, STEP_BATCH_MAX_ORDER,
                          SWEEP_ANCHOR_STRIDE, SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled,
-                         overruns)
+                         overruns, positive_finite)
 
 
 def expm(m, t=1.0):
@@ -167,10 +168,9 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     sample_dt not positive and finite or whose grid passes MAX_SAMPLE_BYTES;
     and, for sampled fields, a segment whose RK4 step passes RK4_STEP_BOUND.
     """
-    if not 0.0 < validity_tol < np.inf:
-        raise InputError("validity_tol must be positive and finite")
-    if sample_dt is not None and not 0.0 < sample_dt < np.inf:
-        raise InputError("sample_dt must be positive and finite, got %g" % sample_dt)
+    positive_finite("validity_tol", validity_tol)
+    if sample_dt is not None:
+        positive_finite("sample_dt", sample_dt)
     rho0 = np.asarray(rho0, dtype=complex)
     _require_density(rho0)
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
@@ -210,8 +210,8 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     first = np.concatenate(([0], np.cumsum(n_steps)))  # index of each segment's first sample
     us = np.empty((int(samples), order))
     times = np.zeros(len(us))
-    us[0] = np.append(np.real(_extraction_maps(sys.dim)[0] @ vectorize(rho0)),
-                      np.trace(rho0).real)
+    v0 = to_coherence_vector(rho0)
+    us[0, :-1], us[0, -1] = v0.bloch, v0.trace_part
     pieces = gens.reshape(len(gens), -1)
     block = max(1, STEP_BATCH_BYTES // pieces[0].nbytes)
     for lo in range(0, count, block):
@@ -506,15 +506,16 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     anchor amplitudes and Weyl's bound decide that for the points between,
     and a point the bound cannot prove non-singular gets its own SVD, so the
     verdict equals the per-point rule. Raises InputError (a ValueError) for
-    fewer than 6 amplitudes, a control out of range, or naming the first
-    amplitude that _admit refuses, and NonUniqueEquilibriumError naming the
-    first amplitude whose A is singular.
+    fewer than 6 amplitudes, a control index that is not an integer in range,
+    or naming the first amplitude that _admit refuses, and
+    NonUniqueEquilibriumError naming the first amplitude whose A is singular.
     """
     amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
     if amplitudes.size < 6:
         raise InputError("insufficient samples: a conic fit needs at least 6 amplitudes")
-    if not 0 <= control_index < sys.n_controls:
-        raise InputError("sweep control index %d out of range" % control_index)
+    if not (isinstance(control_index, (int, np.integer)) and 0 <= control_index < sys.n_controls):
+        raise InputError("sweep control index %s is not an integer in [0, %d)"
+                         % (control_index, sys.n_controls))
     gens = affine_generator_set(sys, spec)
     rows = np.zeros((amplitudes.size, sys.n_controls))
     rows[:, control_index] = amplitudes

@@ -3,16 +3,16 @@
 Density matrices are row-stacked into vectors, vec(rho) = (rho_11, rho_12,
 ..., rho_1N, rho_21, ..., rho_NN), and generators become N^2 x N^2 matrices
 acting on vec(rho). The module assembles the commutator part (1/i hbar)[H, .],
-the dephasing/relaxation dissipator, the stack of pieces (L0, L_m, L_D) from
-which every other module reads the controlled generator, and the explicit
-two-level matrices in the same convention, and checks the structural
+the dephasing/relaxation dissipator and the stack of pieces (L0, L_m, L_D)
+from which every other module reads the controlled generator, reads the raw
+two-level pieces back from that stack, and checks the structural
 disjointness of control and dissipator supports.
 """
 
 import numpy as np
 
 from .errors import InputError
-from .model import _check_hermitian, transition_frequency
+from .model import _check_hermitian
 
 
 def vectorize(rho):
@@ -64,51 +64,18 @@ def build_dissipator(spec):
 
 
 def qubit_superoperators(sys, spec):
-    """The explicit 4x4 generator pieces (L0, L1, L2, LD) of a driven qubit.
+    """The raw pieces (L0, L_1..L_M, L_D) of a two-level system, as one stack.
 
-    L0, L1, L2 are the raw commutator matrices of H0, H1, H2 (the physical
-    generator is (1/i hbar)(L0 + f1 L1 + f2 L2) + LD). Entries are written
-    out so they can be compared symbol by symbol against the kron-built
-    construction.
+    L0 and L_m are the commutator matrices of rho -> H rho - rho H for H0
+    and H_m, generator_pieces' Hamiltonian pieces times i hbar, so that the
+    generator is (1/i hbar)(L0 + sum_m f_m L_m) + L_D; L_D is the
+    dissipator. For qubit_system they are the paper's 4x4 displays.
     """
     if sys.dim != 2 or spec.dim != 2:
-        raise ValueError("explicit superoperators are defined for two levels")
-    hbar = sys.hbar
-    omega = transition_frequency(sys, 0, 1)
-    d1 = float(np.real(sys.controls[0][0, 1]))
-    d2 = float(np.imag(sys.controls[1][1, 0]))
-    l0 = np.diag([0.0, -hbar * omega, hbar * omega, 0.0]).astype(complex)
-    l1 = d1 * np.array(
-        [
-            [0, -1, 1, 0],
-            [-1, 0, 0, 1],
-            [1, 0, 0, -1],
-            [0, 1, -1, 0],
-        ],
-        dtype=complex,
-    )
-    l2 = d2 * np.array(
-        [
-            [0, -1j, -1j, 0],
-            [1j, 0, 0, -1j],
-            [1j, 0, 0, -1j],
-            [0, 1j, 1j, 0],
-        ],
-        dtype=complex,
-    )
-    gam = spec.dephasing[0, 1]
-    g12 = spec.relaxation[0, 1]
-    g21 = spec.relaxation[1, 0]
-    ld = np.array(
-        [
-            [-g21, 0, 0, g12],
-            [0, -gam, 0, 0],
-            [0, 0, -gam, 0],
-            [g21, 0, 0, -g12],
-        ],
-        dtype=complex,
-    )
-    return l0, l1, l2, ld
+        raise InputError("explicit superoperators are defined for two levels")
+    pieces = generator_pieces(sys, spec)
+    pieces[:-1] *= 1j * sys.hbar
+    return pieces
 
 
 def generator_pieces(sys, spec):

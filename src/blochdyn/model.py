@@ -145,10 +145,10 @@ def qubit_system(e1, e2, d1, d2, hbar=1.0):
     """
     if e1 >= e2:
         raise ValueError("levels not ordered: need e1 < e2")
-    h0 = np.diag([e1, e2]).astype(complex)
-    h1 = d1 * np.array([[0, 1], [1, 0]], dtype=complex)
-    h2 = d2 * np.array([[0, -1j], [1j, 0]], dtype=complex)
-    return ControlSystem(h0=h0, controls=(h1, h2), hbar=float(hbar))
+    return ControlSystem(h0=np.diag([e1, e2]).astype(complex),
+                         controls=(dipole_coupling(2, 0, 1, d1, "x"),
+                                   dipole_coupling(2, 0, 1, d2, "y")),
+                         hbar=float(hbar))
 
 
 def dipole_coupling(dim, j, k, moment, axis="x"):

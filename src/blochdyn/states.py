@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError, UnphysicalStateError
-from .tolerances import CERTIFICATE_SLACK, STATE_TRACE_TOL, VALIDITY_TOL
+from .liouville import vectorize
+from .tolerances import CERTIFICATE_SLACK, STATE_TRACE_TOL, VALIDITY_TOL, positive_finite
 
 
 @dataclass(frozen=True)
@@ -171,16 +172,18 @@ def _require_density(rho, tol=VALIDITY_TOL, times=None):
 def check_density(rho, tol=VALIDITY_TOL, times=None):
     """Validate Hermiticity, unit trace and positivity of density matrices.
 
-    rho is one N x N matrix or a stack of them, checked together by
-    _margins. tol bounds Hermiticity and positivity; the trace offset
-    |Re tr - 1| + |Im tr| always holds to STATE_TRACE_TOL. Returns the worst
-    margins over the stack; raises UnphysicalStateError for the first
-    failing matrix. times, when given, labels the stack: the error then
-    names that matrix's time and carries it as worst["t"].
+    rho is one N x N matrix or a nonempty stack of them, checked together
+    by _margins. tol, positive and finite, bounds Hermiticity and
+    positivity; the trace offset |Re tr - 1| + |Im tr| always holds to
+    STATE_TRACE_TOL. Returns the worst margins over the stack; raises
+    UnphysicalStateError for the first failing matrix. times, when given,
+    labels the stack: the error then names that matrix's time and carries it
+    as worst["t"].
     """
+    positive_finite("tol", tol)
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
-        raise InputError("density matrix must be square")
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or not rho.size:
+        raise InputError("density matrix must be square and nonempty")
     herm, trace, mineig = _margins(rho.reshape((-1,) + rho.shape[-2:]))
     ok = (herm <= tol) & (trace <= STATE_TRACE_TOL) & (mineig >= -tol)
     if not ok.all():
@@ -218,13 +221,12 @@ def purity(rho):
 def to_coherence_vector(rho):
     """Expand a density matrix over the traceless Hermitian basis.
 
-    Component a is tr(rho g_a); the trace rides along as trace_part.
+    Component a is tr(rho g_a), read off vec(rho) by the rows of R from
+    _extraction_maps; the trace rides along as trace_part.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    basis = gell_mann_basis(dim)
-    bloch = np.array([np.real(np.sum(rho * g.T)) for g in basis])
-    return CoherenceVector(bloch=bloch, trace_part=float(np.real(np.trace(rho))))
+    return CoherenceVector(bloch=np.real(_extraction_maps(len(rho))[0] @ vectorize(rho)),
+                           trace_part=float(np.real(np.trace(rho))))
 
 
 def from_coherence_vector(v):

@@ -4,6 +4,8 @@ Every threshold that decides a physical or numerical question lives here,
 with the rule that applies it where more than one module needs that rule.
 """
 
+from .errors import InputError
+
 # Hermiticity/positivity allowance for a given state; double precision
 # accumulates error over thousands of propagation steps, 1e-9 leaves headroom
 VALIDITY_TOL = 1e-9
@@ -131,6 +133,13 @@ EXPM_MAX_DEGREE = 18
 def exceeds_scaled(deviation, magnitude, tol=HERMITICITY_TOL):
     """True when deviation exceeds tol * max(1, magnitude)."""
     return deviation > tol * max(1.0, magnitude)
+
+
+def positive_finite(name, value):
+    """A tolerance or step value, returned; InputError naming it unless positive and finite."""
+    if not 0.0 < value < float("inf"):
+        raise InputError("%s must be positive and finite, got %g" % (name, value))
+    return value
 
 
 def overruns(duration, total):

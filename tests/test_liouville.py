@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from blochdyn.errors import InputError
 from blochdyn.liouville import (
     build_dissipator,
     commutator_superop,
@@ -93,7 +94,7 @@ def test_qubit_superoperators_match_hand_displays():
 
 def test_total_generator_is_weighted_sum():
     sys, spec = make_qubit()
-    l0, l1, l2, ld = qubit_superoperators(sys, spec)
+    l0, l1, l2, ld = hand_qubit_displays(1.7, 0.9, 0.6, **QUBIT_RATES)
     f = (0.4, -1.1)
     gen = total_generator(sys, spec, f)
     combined = (l0 + f[0] * l1 + f[1] * l2) / (1j * sys.hbar) + ld
@@ -102,7 +103,7 @@ def test_total_generator_is_weighted_sum():
 
 def test_generator_pieces_order_and_amplitude_checks():
     sys, spec = make_qubit()
-    l0, l1, l2, ld = qubit_superoperators(sys, spec)
+    l0, l1, l2, ld = hand_qubit_displays(1.7, 0.9, 0.6, **QUBIT_RATES)
     pieces = generator_pieces(sys, spec)
     expected = [l0 / (1j * sys.hbar), l1 / (1j * sys.hbar), l2 / (1j * sys.hbar), ld]
     assert len(pieces) == 4
@@ -113,6 +114,42 @@ def test_generator_pieces_order_and_amplitude_checks():
         total_generator(sys, spec, (np.nan, 0.0))
     with pytest.raises(ValueError, match="dimensions differ"):
         generator_pieces(sys, DissipationSpec.zero(3))
+
+
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+# two-level systems outside qubit_system's family
+TWO_LEVEL_SYSTEMS = {
+    "sigma_z_control": ControlSystem(h0=np.diag([0.0, 1.3]), controls=(0.7 * SIGMA_Z, SIGMA_Y)),
+    "tilted_dipole": ControlSystem(h0=np.diag([0.2, 1.1]),
+                                   controls=(0.6 * SIGMA_X + 0.8 * SIGMA_Y, 0.5 * SIGMA_Y),
+                                   hbar=0.7),
+    "one_control": ControlSystem(h0=np.diag([0.0, 1.3]), controls=(0.9 * SIGMA_X,), hbar=2.5),
+    "three_controls": ControlSystem(h0=np.diag([0.0, 1.3]),
+                                    controls=(SIGMA_X, 0.4 * SIGMA_Y, 1.6 * SIGMA_Z)),
+    "off_diagonal_h0": ControlSystem(h0=np.array([[0.2, 0.5 - 0.3j], [0.5 + 0.3j, 1.1]]),
+                                     controls=(SIGMA_X, SIGMA_Y), hbar=1.9),
+}
+
+
+@pytest.mark.parametrize("name", TWO_LEVEL_SYSTEMS)
+def test_qubit_superoperators_are_the_raw_commutators_of_any_two_level_system(name):
+    sys = TWO_LEVEL_SYSTEMS[name]
+    _, spec = make_qubit()
+    got = qubit_superoperators(sys, spec)
+    eye = np.eye(2)
+    want = [np.kron(h, eye) - np.kron(eye, h.T) for h in (sys.h0,) + sys.controls]
+    want.append(build_dissipator(spec))
+    assert len(got) == sys.n_controls + 2
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+
+
+def test_qubit_superoperators_refuse_an_overflowing_h0():
+    sys = ControlSystem(h0=np.diag([-1e308, 1e308]), controls=(SIGMA_X,))
+    with pytest.raises(InputError, match="generator pieces overflow"):
+        qubit_superoperators(sys, DissipationSpec.zero(2))
 
 
 def test_total_generator_hbar():

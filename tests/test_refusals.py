@@ -9,19 +9,21 @@ import json
 import numpy as np
 import pytest
 
-from blochdyn.algebra import LieBasis, decompose_inhomogeneous, lie_closure
-from blochdyn.bloch import AffineGenerator, to_affine
+from blochdyn.algebra import (LieBasis, affine_generator_set, decompose_inhomogeneous,
+                              hamiltonian_algebra, lie_closure)
+from blochdyn.bloch import AffineGenerator, ball_containment, to_affine
 from blochdyn.cli import main
 from blochdyn.config import template_text
-from blochdyn.dynamics import propagate, semigroup_spectrum
+from blochdyn.dynamics import propagate, semigroup_spectrum, steady_state_sweep
 from blochdyn.errors import InputError
 from blochdyn.liouville import devectorize, qubit_superoperators, support_overlap, vectorize
 from blochdyn.model import (ControlField, ControlSystem, DissipationSpec, qubit_system,
                             transition_frequency)
-from blochdyn.states import check_density, gell_mann_basis
+from blochdyn.states import check_density, from_pure, gell_mann_basis
 
 QUBIT = qubit_system(0.0, 1.0, d1=1.0, d2=0.5)
 LADDER = ControlSystem(h0=np.diag([0.0, 1.0, 2.5]), controls=())
+RATES = DissipationSpec(dephasing=[[0.0, 0.3], [0.3, 0.0]], relaxation=[[0.0, 0.2], [0.05, 0.0]])
 REFUSALS = {
     "control_shape": (lambda: ControlSystem(h0=np.eye(2), controls=(np.eye(3),)),
                       ValueError, "control 0 dimension differs from h0"),
@@ -63,6 +65,30 @@ REFUSALS = {
         lambda: decompose_inhomogeneous(LieBasis(elements=np.full((1, 3, 3), np.nan),
                                                  ambient_dim=3)),
         InputError, "basis elements must be finite"),
+    # a tol that is not positive and finite once gave a wrong answer (dim 4
+    # or 0, ranks (0, 0), an "unphysical" valid state, ok=True) or another
+    # function's error
+    "closure_with_a_nan_tol": (lambda: lie_closure(affine_generator_set(QUBIT, RATES), tol=np.nan),
+                               InputError, "tol must be positive and finite, got nan"),
+    "hamiltonian_algebra_with_an_infinite_tol": (
+        lambda: hamiltonian_algebra(QUBIT, tol=np.inf),
+        InputError, "tol must be positive and finite, got inf"),
+    "split_with_a_negative_tol": (
+        lambda: decompose_inhomogeneous(lie_closure(affine_generator_set(QUBIT, RATES)), tol=-1),
+        InputError, "tol must be positive and finite, got -1"),
+    "density_check_with_a_nan_tol": (lambda: check_density(from_pure([1, 0]), tol=np.nan),
+                                     InputError, "tol must be positive and finite, got nan"),
+    "containment_with_a_nan_tol": (
+        lambda: ball_containment(propagate(QUBIT, RATES, ControlField.constant([0.0, 0.0], 1.0),
+                                           from_pure([1, 0])), tol=np.nan),
+        InputError, "tol must be positive and finite, got nan"),
+    # once numpy's "zero-size array to reduction operation maximum"
+    "density_check_of_an_empty_stack": (lambda: check_density(np.empty((0, 2, 2))),
+                                        InputError, "density matrix must be square and nonempty"),
+    # passed the range check and then failed with an IndexError
+    "sweep_of_a_fractional_control": (
+        lambda: steady_state_sweep(QUBIT, RATES, 1.5, np.linspace(0.0, 1.0, 6)),
+        InputError, "sweep control index 1.5 is not an integer in [0, 2)"),
 }
 
 

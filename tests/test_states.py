@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from blochdyn.dynamics import propagate
 from blochdyn.errors import UnphysicalStateError
-from blochdyn.model import ControlField, ControlSystem, DissipationSpec
+from blochdyn.model import ControlField, ControlSystem, DissipationSpec, dipole_coupling
 from blochdyn.states import (
     CoherenceVector,
     _certified,
@@ -309,3 +309,17 @@ def test_certificate_verdict_matches_check_density(dim, size, seed, defects, tol
 def test_coherence_vector_length_validation():
     with pytest.raises(ValueError):
         CoherenceVector(bloch=[0.0, 0.0], trace_part=1.0)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_first_sample_is_the_coherence_vector_of_the_initial_state(dim):
+    # propagate reads its first sample through to_coherence_vector, the one
+    # rho -> v map, and from_coherence_vector inverts that map
+    rho0 = random_density(np.random.default_rng(900 + dim), dim)
+    sys = ControlSystem(h0=np.diag(np.arange(dim, dtype=float)),
+                        controls=(dipole_coupling(dim, 0, 1, 0.3),))
+    traj = propagate(sys, DissipationSpec.zero(dim), ControlField.constant([0.2], 0.5), rho0)
+    v = to_coherence_vector(rho0)
+    assert traj.bloch[0].tobytes() == v.bloch.tobytes()
+    assert traj.trace_part[0] == v.trace_part
+    assert np.max(np.abs(from_coherence_vector(v) - rho0)) <= 1e-15
