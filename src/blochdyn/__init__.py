@@ -54,7 +54,6 @@ from .model import (
     DissipationSpec,
     dipole_coupling,
     qubit_system,
-    transition_frequency,
 )
 from .states import (
     CoherenceVector,
@@ -116,6 +115,5 @@ __all__ = [
     "to_coherence_vector",
     "total_generator",
     "trace_residual",
-    "transition_frequency",
     "vectorize",
 ]

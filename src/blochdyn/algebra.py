@@ -19,9 +19,7 @@ import numpy as np
 from .bloch import AffineGenerator, _affine_images
 from .errors import ClosureError, InputError
 from .liouville import generator_pieces
-from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM, positive_finite
-
-MAX_DEPTH = 8
+from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM, MAX_DEPTH, positive_finite, real_valued
 
 
 @dataclass(frozen=True)
@@ -38,16 +36,12 @@ class LieBasis:
 
 def affine_embed(gen):
     """[[A, b], [0, 0]] embedding of an affine generator or (A, b) pair."""
-    if isinstance(gen, AffineGenerator):
-        a, b = gen.a, gen.b
-    else:
-        a, b = gen
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float).reshape(-1)
-    n = b.size
+    if not isinstance(gen, AffineGenerator):
+        gen = AffineGenerator(*gen)
+    n = gen.b.size
     m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = a
-    m[:n, n] = b
+    m[:n, :n] = gen.a
+    m[:n, n] = gen.b
     return m
 
 
@@ -74,12 +68,12 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
     an exactly zero last row (affine embeddings), so does every commutator,
     and the closure stops as soon as it spans all n(n-1) such directions.
     Generators that all vanish generate the zero algebra, of dim 0.
-    Non-finite generators, and a tol not positive and finite, raise
-    InputError (a ValueError). Raises ClosureError (with the partial basis
+    Complex or non-finite generators, and a tol not positive and finite,
+    raise InputError (a ValueError). Raises ClosureError (with the partial basis
     attached) when max_depth rounds do not reach closure.
     """
     positive_finite("tol", tol)
-    mats = np.asarray(generators, dtype=float)
+    mats = real_valued("generators", generators)
     if mats.ndim != 3 or not len(mats) or mats.shape[1] != mats.shape[2]:
         raise ValueError("need one or more generators of a common square shape")
     if not np.isfinite(mats).all():
@@ -169,7 +163,7 @@ def decompose_inhomogeneous(basis, tol=CLOSURE_TOL):
     if basis.dim == 0:
         return (0, 0)
     n = basis.ambient_dim - 1
-    mats = np.asarray(basis.elements, dtype=float)
+    mats = real_valued("basis elements", basis.elements)
     if not np.isfinite(mats).all():
         raise InputError("basis elements must be finite")
     if np.max(np.abs(mats[:, n])) > tol:

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import InputError
 from .liouville import build_dissipator, trace_residual
 from .states import _extraction_maps, _margins
-from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled, positive_finite
+from .tolerances import (GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled, positive_finite,
+                         real_valued)
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,8 @@ class AffineGenerator:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
+        a = real_valued("a", self.a)
+        b = real_valued("b", self.b).reshape(-1)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.size:
             raise ValueError("A must be square with matching b")
         object.__setattr__(self, "a", a)

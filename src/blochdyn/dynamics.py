@@ -51,7 +51,7 @@ from .tolerances import (CONIC_DISCRIMINANT_TOL, CONIC_FIT_TOL, DEGENERATE_CONIC
                          PROPAGATION_TOL, RK4_STEP_BOUND, SAMPLE_STEP_NORM, SINGULAR_RATIO,
                          SPECTRUM_TOL, STEP_BATCH_BYTES, STEP_BATCH_MAX_ORDER,
                          SWEEP_ANCHOR_STRIDE, SWEEP_ROUNDING, TAYLOR_THETA, exceeds_scaled,
-                         overruns, positive_finite)
+                         overruns, positive_finite, real_valued)
 
 
 def expm(m, t=1.0):
@@ -106,9 +106,15 @@ class Trajectory:
 
 
 def _effective_segments(field, duration):
-    """Clip the segment list to the requested duration."""
+    """(durations, rows) of the segments clipped to the requested duration.
+
+    Segment k runs for at most the time left, the duration less the
+    segments before it subtracted in turn, and only while that is positive.
+    """
+    durations = np.array([d for d, _ in field.segments])
+    rows = np.array([v for _, v in field.segments])
     if duration is None:
-        return list(field.segments)
+        return durations, rows
     if duration < 0:
         raise SemigroupDomainError(
             "semigroup domain: evolution is defined for t >= 0 only"
@@ -116,16 +122,8 @@ def _effective_segments(field, duration):
     total = field.total_duration
     if overruns(duration, total):
         raise InputError("field covers [0, %g] but duration %g was requested" % (total, duration))
-    segs = []
-    left = duration
-    for dur, values in field.segments:
-        if left <= 0:
-            break
-        take = min(dur, left)
-        if take > 0:
-            segs.append((take, values))
-        left -= take
-    return segs
+    left = np.subtract.accumulate(np.concatenate(([duration], durations)))[:-1]
+    return np.minimum(durations, left)[left > 0], rows[left > 0]
 
 
 def default_sample_dt(generators, total_duration):
@@ -175,11 +173,9 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     _require_density(rho0)
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
         raise InputError("system, dissipation and state dimensions differ")
-    segs = _effective_segments(field, duration)
+    durations, rows = _effective_segments(field, duration)
     gens = np.array(affine_generator_set(sys, spec))
-    rows = [v for _, v in segs]
     ham = _admit(gens, rows, lambda k: "segment %d" % k)
-    durations = np.array([d for d, _ in segs])
     with np.errstate(over="ignore"):
         phase = durations * ham
     if (phase > MAX_PHASE).any():
@@ -197,30 +193,28 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
         raise InputError("sample_dt %g gives %.4g samples of %dx%d density matrices, past the "
                          "%d MB bound" % (sample_dt, samples, sys.dim, sys.dim,
                                           MAX_SAMPLE_BYTES >> 20))
-    count, order = len(segs), sys.dim ** 2
+    count, order = len(durations), sys.dim ** 2
     h = durations / steps
-    weights = np.ones((count, len(gens)))
-    weights[:, 1:-1] = np.reshape(rows, (count, len(gens) - 2))
-    if field.kind == "sampled" and segs:
-        _check_rk4_steps(gens, weights[:, 1:-1], h)
+    if field.kind == "sampled" and count:
+        _check_rk4_steps(gens, rows, h)
+    weights = np.pad(rows, ((0, 0), (1, 1)), constant_values=1.0)  # rows (1, f_k, 1)
 
     n_steps = steps.astype(int)
     ends = np.cumsum(durations)  # accumulates as t0 + d, segment by segment
     starts = np.concatenate(([0.0], ends[:-1]))
     first = np.concatenate(([0], np.cumsum(n_steps)))  # index of each segment's first sample
-    us = np.empty((int(samples), order))
-    times = np.zeros(len(us))
+    # t0 + k h for k = 1..n, then each segment end exact
+    seg = np.repeat(np.arange(count), n_steps)
+    times = np.zeros(int(samples))
+    times[1:] = starts[seg] + (np.arange(1, len(times)) - first[seg]) * h[seg]
+    times[first[1:]] = ends
+    us = np.empty((len(times), order))
     v0 = to_coherence_vector(rho0)
     us[0, :-1], us[0, -1] = v0.bloch, v0.trace_part
     pieces = gens.reshape(len(gens), -1)
     block = max(1, STEP_BATCH_BYTES // pieces[0].nbytes)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        # t0 + k h for k = 1..n, then each segment end exact
-        seg = np.repeat(np.arange(lo, hi), n_steps[lo:hi])
-        at = np.arange(first[lo] + 1, first[hi] + 1)
-        times[at] = starts[seg] + (at - first[seg]) * h[seg]
-        times[first[lo + 1:hi + 1]] = ends[lo:hi]
         _step_block(us[first[lo]:first[hi] + 1], weights[lo:hi] @ pieces, h[lo:hi],
                     n_steps[lo:hi], field.kind == "piecewise")
     rhos = density_from_coordinates(us, sys.dim)
@@ -506,14 +500,15 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     anchor amplitudes and Weyl's bound decide that for the points between,
     and a point the bound cannot prove non-singular gets its own SVD, so the
     verdict equals the per-point rule. Raises InputError (a ValueError) for
-    fewer than 6 amplitudes, a control index that is not an integer in range,
-    or naming the first amplitude that _admit refuses, and
+    complex or fewer than 6 amplitudes, a control index that is not an
+    integer in range, or naming the first amplitude that _admit refuses, and
     NonUniqueEquilibriumError naming the first amplitude whose A is singular.
     """
-    amplitudes = np.asarray(amplitudes, dtype=float).reshape(-1)
+    amplitudes = real_valued("amplitudes", amplitudes).reshape(-1)
     if amplitudes.size < 6:
         raise InputError("insufficient samples: a conic fit needs at least 6 amplitudes")
-    if not (isinstance(control_index, (int, np.integer)) and 0 <= control_index < sys.n_controls):
+    if not (isinstance(control_index, (int, np.integer)) and not isinstance(control_index, bool)
+            and 0 <= control_index < sys.n_controls):
         raise InputError("sweep control index %s is not an integer in [0, %d)"
                          % (control_index, sys.n_controls))
     gens = affine_generator_set(sys, spec)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import _check_hermitian
+from .tolerances import real_valued
 
 
 def vectorize(rho):
@@ -102,10 +103,10 @@ def _combine(pieces, f):
     """pieces[0] + sum_m f_m pieces[m] + pieces[-1] for a stack of M + 2 pieces.
 
     Serves the complex pieces and their real affine embeddings alike; the
-    amplitudes are those _admit has passed.
+    amplitudes are those _admit has passed, so their imaginary parts are zero.
     """
     pieces = np.asarray(pieces)
-    weights = np.concatenate(([1.0], np.atleast_1d(f), [1.0]))
+    weights = np.concatenate(([1.0], np.real(np.atleast_1d(f)), [1.0]))
     return (weights @ pieces.reshape(len(pieces), -1)).reshape(pieces.shape[1:])
 
 
@@ -116,19 +117,22 @@ def _admit(pieces, rows, name):
     is max|pieces[0]| + sum_m |f_m| max|pieces[m]|, and adding max|pieces[-1]|
     bounds every entry of the whole, so one product per call serves the
     overflow check here and the phase check in propagate. InputError refuses
-    the first row with other than len(pieces) - 2 amplitudes, a non-finite
-    amplitude, or a bound that overflows, named by name(k) for row k.
+    the first row with other than len(pieces) - 2 amplitudes, a complex or
+    non-finite amplitude, or a bound that overflows, named by name(k) for row k.
     """
     pieces = np.asarray(pieces)
     width = len(pieces) - 2
-    rows = np.asarray(rows, dtype=float)
+    rows = np.asarray(rows)
     if len(rows) and rows.shape[1:] != (width,):
         raise InputError("%s: expected %d field amplitudes, got %d"
                          % (name(0), width, rows[0].size))
+    rows = rows.reshape(len(rows), width)
+    k = np.imag(rows).any(axis=1).argmax() if len(rows) else 0  # the first complex row, if any
+    rows = real_valued("%s: field amplitudes" % name(k), rows)
     scale = np.abs(pieces).max(axis=(1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         # a non-finite amplitude makes its bound inf or NaN, against a zero piece too
-        ham = (np.abs(rows.reshape(len(rows), width)) * scale[1:-1]).sum(axis=1) + scale[0]
+        ham = (np.abs(rows) * scale[1:-1]).sum(axis=1) + scale[0]
         ok = np.isfinite(ham + scale[-1])
     if not ok.all():
         k = int(ok.argmin())

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import exceeds_scaled
+from .errors import InputError
+from .tolerances import exceeds_scaled, real_valued
 
 
 def _check_hermitian(m, name):
@@ -68,8 +69,8 @@ class DissipationSpec:
     relaxation: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.dephasing, dtype=float)
-        r = np.asarray(self.relaxation, dtype=float)
+        g = real_valued("dephasing", self.dephasing)
+        r = real_valued("relaxation", self.relaxation)
         if g.shape != r.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("rate matrices must be square and same shape")
         if not (np.all((g >= 0) & (g < np.inf)) and np.all((r >= 0) & (r < np.inf))):
@@ -110,10 +111,12 @@ class ControlField:
             raise ValueError("kind must be 'piecewise' or 'sampled'")
         segs = []
         for dur, values in self.segments:
-            dur = float(dur)
-            values = np.atleast_1d(np.asarray(values, dtype=float))
+            dur = float(real_valued("segment durations", dur))
+            values = np.atleast_1d(real_valued("field values", values))
             if not 0 < dur < np.inf:
                 raise ValueError("segment durations must be positive and finite")
+            if values.ndim != 1:
+                raise InputError("field values must be one row of amplitudes per segment")
             if not np.all(np.isfinite(values)):
                 raise ValueError("field values must be finite")
             segs.append((dur, values))
@@ -169,13 +172,3 @@ def dipole_coupling(dim, j, k, moment, axis="x"):
         raise ValueError("axis must be 'x' or 'y'")
     return h
 
-
-def transition_frequency(sys, k, n):
-    """(E_n - E_k) / hbar for levels k, n (0-based) of a diagonal H0."""
-    h0 = sys.h0
-    off = h0 - np.diag(np.diag(h0))
-    if np.max(np.abs(off)) > 0:
-        raise ValueError("eigenbasis required: h0 is not diagonal")
-    if k == n:
-        raise ValueError("transition needs two distinct levels")
-    return float(np.real(h0[n, n] - h0[k, k]) / sys.hbar)

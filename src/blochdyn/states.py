@@ -108,54 +108,48 @@ def density_from_coordinates(u, dim):
     return rho
 
 
-def _margins(stack):
-    """Hermiticity, trace offset |Re tr - 1| + |Im tr| and min eigenvalue per matrix.
+def _offsets(stack):
+    """Hermiticity max|rho_ij - conj rho_ji| and trace offset |Re tr - 1| + |Im tr| per matrix.
 
-    stack has shape (K, N, N) and gets one batched eigvalsh.
+    Reads the upper triangle only, the diagonal as |rho_ii - conj rho_ii| so
+    that NaN propagates: the values over the full matrix, bit for bit.
     """
-    adj = stack.conj().swapaxes(1, 2)
-    herm = np.max(np.abs(stack - adj), axis=(1, 2))
-    tr = np.trace(stack, axis1=1, axis2=2)
-    trace = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    i, j = np.triu_indices(stack.shape[-1])
+    herm = np.abs(stack[:, i, j] - stack[:, j, i].conj()).max(axis=1)
+    tr = np.diagonal(stack, axis1=1, axis2=2).sum(axis=1)
+    return herm, np.abs(tr.real - 1.0) + np.abs(tr.imag)
+
+
+def _margins(stack):
+    """_offsets plus the min eigenvalue per matrix, from one batched eigvalsh over the stack."""
     # eigvalsh assumes Hermiticity; symmetrize first so the PSD number is
     # meaningful even when the Hermiticity check is about to fail
-    sym = 0.5 * (stack + adj)
+    sym = 0.5 * (stack + stack.conj().swapaxes(1, 2))
     # LAPACK may fail on non-finite input; such matrices get NaN margins,
     # and the comparisons of check_density are written so that NaN fails
     finite = np.isfinite(sym).all(axis=(1, 2))
     sym[~finite] = 0.0
-    return herm, trace, np.where(finite, np.linalg.eigvalsh(sym)[:, 0], np.nan)
+    return *_offsets(stack), np.where(finite, np.linalg.eigvalsh(sym)[:, 0], np.nan)
 
 
 def _certified(stack, tol):
     """True when the stack, shape (K, N, N), is proven to pass check_density(stack, tol).
 
-    Hermiticity and trace are compared as in _margins, from the strict upper
-    triangle and the diagonal, so a non-finite entry fails here. For
-    positivity, the Hermitian matrix read from one triangle lies within
-    r = (N - 1) herm / 2 of the symmetrized one in the 2-norm, and a smallest
-    eigenvalue above -(tau - r), tau = tol (1 - CERTIFICATE_SLACK), proves
-    check_density's margin >= -tol up to rounding: at N = 2 by the closed
-    form tr / 2 - hypot((rho_00 - rho_11) / 2, |rho_01|), otherwise by one
-    batched Cholesky factorization of the lower triangle plus (tau - r) I,
-    which raises for the whole stack if one factor fails. False proves
-    nothing; check_density decides.
+    Hermiticity and trace come from _offsets, as in check_density. The
+    Hermitian matrix read from the lower triangle lies within
+    r = (N - 1) herm / 2 of the symmetrized one in the 2-norm, so one batched
+    Cholesky factorization of it plus (tau - r) I, tau = tol
+    (1 - CERTIFICATE_SLACK), proves check_density's margin >= -tol up to
+    rounding, at every N; it raises for the whole stack if one factor fails.
+    False proves nothing; check_density decides.
     """
-    n = stack.shape[-1]
-    i, j = np.triu_indices(n, 1)
-    diag = np.diagonal(stack, axis1=1, axis2=2)
-    herm = np.maximum(np.abs(stack[:, i, j] - stack[:, j, i].conj()).max(initial=0.0),
-                      2.0 * np.abs(diag.imag).max(initial=0.0))
-    tr = diag.sum(axis=1)
-    if not (herm <= tol
-            and (np.abs(tr.real - 1.0) + np.abs(tr.imag)).max(initial=0.0) <= STATE_TRACE_TOL):
+    herm, trace = _offsets(stack)
+    if not ((herm <= tol).all() and (trace <= STATE_TRACE_TOL).all()):
         return False
-    shift = tol * (1.0 - CERTIFICATE_SLACK) - (n - 1) * herm / 2
-    if n == 2:
-        return bool((tr.real / 2 - np.hypot((diag[:, 0].real - diag[:, 1].real) / 2,
-                                             np.abs(stack[:, 0, 1])) > -shift).all())
+    n = stack.shape[-1]
     try:
-        np.linalg.cholesky(stack + shift * np.eye(n))
+        np.linalg.cholesky(stack + (tol * (1.0 - CERTIFICATE_SLACK)
+                                    - (n - 1) * herm.max(initial=0.0) / 2) * np.eye(n))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -203,8 +197,10 @@ def check_density(rho, tol=VALIDITY_TOL, times=None):
 
 
 def from_pure(amplitudes):
-    """Density matrix of the normalized superposition with given amplitudes."""
+    """Density matrix of the normalized superposition with given finite amplitudes."""
     c = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if not np.isfinite(c).all():
+        raise InputError("pure-state amplitudes must be finite")
     nrm = np.linalg.norm(c)
     if nrm == 0.0:
         raise ValueError("degenerate state: zero amplitude vector")

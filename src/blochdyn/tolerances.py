@@ -1,8 +1,11 @@
 """Numerical tolerances of the package, in one table.
 
 Every threshold that decides a physical or numerical question lives here,
-with the rule that applies it where more than one module needs that rule.
+with the rule that applies it where more than one module needs that rule,
+as do the argument checks that more than one module shares.
 """
+
+import numpy as np
 
 from .errors import InputError
 
@@ -14,9 +17,9 @@ PROPAGATION_TOL = 1e-7
 # trace offset |Re tr - 1| + |Im tr| allowed for any state, whatever the tol
 STATE_TRACE_TOL = 1e-9
 # propagate proves its samples positive without eigenvalues, by a Cholesky
-# factor (closed form at N = 2) of rho + tol (1 - CERTIFICATE_SLACK) I. Both
-# that factor and eigvalsh err by a few N eps for a unit-trace state (~4e-15
-# together at N = 8), so a proof stands for check_density's verdict while
+# factor of rho + tol (1 - CERTIFICATE_SLACK) I at every N. Both that factor
+# and eigvalsh err by a few N eps for a unit-trace state (~4e-15 together at
+# N = 8), so a proof stands for check_density's verdict while
 # tol CERTIFICATE_SLACK exceeds that, for every tol above 4e-11. States whose
 # smallest eigenvalue lies in the band of width tol CERTIFICATE_SLACK above
 # -tol go to check_density unproven, which only costs its eigenvalues
@@ -31,6 +34,11 @@ SPECTRUM_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 # commutators with a Frobenius norm below this are dropped as zero
 CLOSURE_ZERO_NORM = 1e-14
+# rounds of commutators lie_closure takes before it raises ClosureError.
+# Seeded random perfbench ladders (10 each at N = 2-4, 5 at N = 5, 2 at
+# N = 6) close in 3 rounds at N = 2-4 and in 4 at N = 5-6, their affine
+# generator sets and their Hamiltonian algebras alike; 8 is twice the deepest
+MAX_DEPTH = 8
 # singular values at or below this times the largest make A singular
 SINGULAR_RATIO = 1e-12
 # a steady-state sweep decomposes every SWEEP_ANCHOR_STRIDE-th A(a) in
@@ -142,6 +150,14 @@ def positive_finite(name, value):
     return value
 
 
+def real_valued(name, value):
+    """value as a float array; InputError naming it if an entry has a nonzero imaginary part."""
+    value = np.asarray(value)
+    if np.iscomplexobj(value) and value.imag.any():
+        raise InputError("%s must be real, got a nonzero imaginary part" % name)
+    return np.asarray(value.real, dtype=float)
+
+
 def overruns(duration, total):
-    """True when duration runs past a field program of length total."""
-    return duration > total * (1 + DURATION_REL_SLACK) + DURATION_ABS_SLACK
+    """True when duration runs past a field program of length total, or is NaN."""
+    return not duration <= total * (1 + DURATION_REL_SLACK) + DURATION_ABS_SLACK

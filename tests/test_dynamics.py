@@ -11,6 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blochdyn import algebra, dynamics, liouville
 from blochdyn.algebra import affine_generator_set
@@ -232,6 +234,48 @@ def test_duration_truncates_field():
         propagate(sys, spec, field, from_pure([1, 0]), duration=4.5)
     with pytest.raises(SemigroupDomainError):
         propagate(sys, spec, field, from_pure([1, 0]), duration=-1.0)
+
+
+def clipped_by_the_segment_loop(field, duration):
+    """(durations, rows) as propagate once clipped them, one segment at a time."""
+    segs = []
+    left = duration
+    for dur, values in field.segments:
+        if left <= 0:
+            break
+        take = min(dur, left)
+        if take > 0:
+            segs.append((take, values))
+        left -= take
+    return np.array([d for d, _ in segs]), np.array([v for _, v in segs])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(durations=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1),
+       cut=st.sampled_from(["zero", "uniform", "at a segment end", "past a segment end", "whole"]))
+def test_clip_matches_the_segment_loop_bit_for_bit(durations, seed, cut):
+    rng = np.random.default_rng(seed)
+    field = ControlField(segments=tuple((d, rng.uniform(-1.0, 1.0, 2)) for d in durations))
+    k = int(rng.integers(0, len(durations)))
+    # the loop subtracts in turn, so sums taken in turn hit its segment ends
+    end = sum(durations[1:k + 1], durations[0])
+    duration = {"zero": 0.0, "uniform": rng.uniform(0.0, field.total_duration),
+                "at a segment end": end, "past a segment end": np.nextafter(end, np.inf),
+                "whole": field.total_duration}[cut]
+    got = dynamics._effective_segments(field, duration)
+    want = clipped_by_the_segment_loop(field, duration)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].reshape(-1).tobytes() == want[1].reshape(-1).tobytes()
+
+
+def test_complex_input_with_zero_imaginary_parts_is_read_as_real():
+    sys, spec = make_qubit()
+    assert (steady_state(sys, spec, [0.3 + 0j, 0j]).bloch.tobytes()
+            == steady_state(sys, spec, [0.3, 0.0]).bloch.tobytes())
+    amps = np.linspace(-1.0, 1.0, 7)
+    assert (steady_state_sweep(sys, spec, 0, amps + 0j).points.tobytes()
+            == steady_state_sweep(sys, spec, 0, amps).points.tobytes())
 
 
 def test_propagate_rejects_unphysical_initial_state():
@@ -657,14 +701,16 @@ def counting_eigvalsh(monkeypatch):
 
 
 def test_passing_trajectory_computes_no_eigenvalues(monkeypatch):
-    rng = np.random.default_rng(3)
-    sys, spec = admissible_system(rng, 3)
-    rho0 = 0.5 * from_pure([1, 1, 1]) + 0.5 * np.eye(3) / 3
     calls = counting_eigvalsh(monkeypatch)
-    traj = propagate(sys, spec, ControlField(segments=((2.0, (0.5, -0.3)),)), rho0,
-                     sample_dt=1e-3)
-    assert len(traj) == 2001
-    assert calls == []
+    for dim in (2, 3):
+        rng = np.random.default_rng(3)
+        sys, spec = admissible_system(rng, dim)
+        rho0 = 0.5 * from_pure(np.ones(dim)) + 0.5 * np.eye(dim) / dim
+        traj = propagate(sys, spec,
+                         ControlField(segments=((2.0, np.linspace(0.5, -0.3, dim - 1)),)),
+                         rho0, sample_dt=1e-3)
+        assert len(traj) == 2001
+        assert calls == []
 
 
 def test_failing_sample_is_judged_by_its_eigenvalues(monkeypatch):

@@ -9,7 +9,6 @@ from blochdyn.model import (
     DissipationSpec,
     dipole_coupling,
     qubit_system,
-    transition_frequency,
 )
 
 
@@ -30,25 +29,6 @@ def test_qubit_system_requires_ordered_levels():
 def test_control_system_rejects_non_hermitian():
     with pytest.raises(ValueError):
         ControlSystem(h0=np.array([[0.0, 1.0], [0.0, 1.0]]), controls=())
-
-
-def test_transition_frequency_zero_based():
-    sys = ControlSystem(h0=np.diag([0.0, 1.0, 2.5]), controls=())
-    assert transition_frequency(sys, 0, 1) == pytest.approx(1.0)
-    assert transition_frequency(sys, 1, 2) == pytest.approx(1.5)
-    assert transition_frequency(sys, 1, 0) == pytest.approx(-1.0)
-
-
-def test_transition_frequency_scales_with_hbar():
-    sys = ControlSystem(h0=np.diag([0.0, 3.0]), controls=(), hbar=2.0)
-    assert transition_frequency(sys, 0, 1) == pytest.approx(1.5)
-
-
-def test_transition_frequency_needs_eigenbasis():
-    h0 = np.array([[0.0, 0.3], [0.3, 1.0]])
-    sys = ControlSystem(h0=h0, controls=())
-    with pytest.raises(ValueError, match="eigenbasis"):
-        transition_frequency(sys, 0, 1)
 
 
 def test_dipole_coupling_patterns():

@@ -5,25 +5,29 @@ so the row reaches the check it names.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blochdyn.algebra import (LieBasis, affine_generator_set, decompose_inhomogeneous,
-                              hamiltonian_algebra, lie_closure)
+from blochdyn.algebra import (LieBasis, affine_embed, affine_generator_set,
+                              decompose_inhomogeneous, hamiltonian_algebra, lie_closure)
 from blochdyn.bloch import AffineGenerator, ball_containment, to_affine
 from blochdyn.cli import main
 from blochdyn.config import template_text
-from blochdyn.dynamics import propagate, semigroup_spectrum, steady_state_sweep
+from blochdyn.dynamics import propagate, semigroup_spectrum, steady_state, steady_state_sweep
 from blochdyn.errors import InputError
-from blochdyn.liouville import devectorize, qubit_superoperators, support_overlap, vectorize
-from blochdyn.model import (ControlField, ControlSystem, DissipationSpec, qubit_system,
-                            transition_frequency)
+from blochdyn.liouville import (devectorize, qubit_superoperators, support_overlap,
+                                total_generator, vectorize)
+from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
 from blochdyn.states import check_density, from_pure, gell_mann_basis
 
 QUBIT = qubit_system(0.0, 1.0, d1=1.0, d2=0.5)
 LADDER = ControlSystem(h0=np.diag([0.0, 1.0, 2.5]), controls=())
 RATES = DissipationSpec(dephasing=[[0.0, 0.3], [0.3, 0.0]], relaxation=[[0.0, 0.2], [0.05, 0.0]])
+# rotation generators (J_x)_{yz} and (J_y)_{zx} of so(3)
+JX = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+JY = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 REFUSALS = {
     "control_shape": (lambda: ControlSystem(h0=np.eye(2), controls=(np.eye(3),)),
                       ValueError, "control 0 dimension differs from h0"),
@@ -31,8 +35,6 @@ REFUSALS = {
                         ValueError, "field values must be finite"),
     "no_segments": (lambda: ControlField(segments=()),
                     ValueError, "field needs at least one segment"),
-    "one_level_transition": (lambda: transition_frequency(LADDER, 1, 1),
-                             ValueError, "transition needs two distinct levels"),
     "one_level_basis": (lambda: gell_mann_basis(1), ValueError, "dimension must be at least 2"),
     "non_square_density": (lambda: check_density(np.ones((2, 3))),
                            InputError, "density matrix must be square"),
@@ -89,6 +91,58 @@ REFUSALS = {
     "sweep_of_a_fractional_control": (
         lambda: steady_state_sweep(QUBIT, RATES, 1.5, np.linspace(0.0, 1.0, 6)),
         InputError, "sweep control index 1.5 is not an integer in [0, 2)"),
+    # each of these once dropped the imaginary part with only a ComplexWarning
+    # and answered for the real part (dim 1, the f = 0 state, "degenerate",
+    # A = 0, ranks (0, 0)), or raised numpy's untyped TypeError
+    "closure_of_a_complex_generator": (lambda: lie_closure([1j * JX, JY]),
+                                       InputError, "generators must be real"),
+    "steady_state_at_a_complex_amplitude": (lambda: steady_state(QUBIT, RATES, [1j, 0.0]),
+                                            InputError, "f: field amplitudes must be real"),
+    "generator_at_a_complex_amplitude": (lambda: total_generator(QUBIT, RATES, [0.0, 1j]),
+                                         InputError, "f: field amplitudes must be real"),
+    "propagation_of_complex_field_rows": (
+        lambda: propagate(QUBIT, RATES, SimpleNamespace(
+            segments=((1.0, np.array([0.5, 0.0])), (1.0, np.array([0.0, 2j]))),
+            kind="piecewise", total_duration=2.0), from_pure([1, 0])),
+        InputError, "segment 1: field amplitudes must be real"),
+    "sweep_of_complex_amplitudes": (
+        lambda: steady_state_sweep(QUBIT, RATES, 0, 1j * np.linspace(-1.0, 1.0, 7)),
+        InputError, "amplitudes must be real"),
+    "complex_affine_generator": (lambda: AffineGenerator(a=1j * np.eye(3), b=np.zeros(3)),
+                                 InputError, "a must be real"),
+    "complex_affine_embedding": (lambda: affine_embed((np.eye(3), [0.0, 1j, 0.0])),
+                                 InputError, "b must be real"),
+    "split_of_a_complex_basis": (
+        lambda: decompose_inhomogeneous(LieBasis(elements=1j * np.ones((1, 3, 3)),
+                                                 ambient_dim=3)),
+        InputError, "basis elements must be real"),
+    "complex_field_value": (lambda: ControlField(segments=((1.0, (1j, 0.0)),)),
+                            InputError, "field values must be real"),
+    "complex_segment_duration": (lambda: ControlField(segments=((1.0 + 1j, (0.0, 0.0)),)),
+                                 InputError, "segment durations must be real"),
+    "complex_dephasing": (lambda: DissipationSpec(dephasing=[[0.0, 0.3j], [0.3j, 0.0]],
+                                                  relaxation=np.zeros((2, 2))),
+                          InputError, "dephasing must be real"),
+    # a bool is an int: this once failed with numpy's "shape mismatch"
+    "sweep_of_a_bool_control": (
+        lambda: steady_state_sweep(QUBIT, RATES, True, np.linspace(0.0, 1.0, 6)),
+        InputError, "sweep control index True is not an integer in [0, 2)"),
+    # these two once gave a NaN state and a RuntimeWarning, and propagate
+    # then reported a physics error
+    "pure_state_with_a_nan_amplitude": (lambda: from_pure([np.nan, 1.0]),
+                                        InputError, "pure-state amplitudes must be finite"),
+    "pure_state_with_an_infinite_amplitude": (lambda: from_pure([np.inf, 1.0]),
+                                              InputError, "pure-state amplitudes must be finite"),
+    # accepted with n_controls 2; propagate then said "expected 2 field
+    # amplitudes, got 2"
+    "field_of_a_two_dimensional_row": (
+        lambda: ControlField(segments=((1.0, [[0.5, 0.0]]),)),
+        InputError, "field values must be one row of amplitudes per segment"),
+    # once passed the overrun check and returned the whole field
+    "propagation_for_a_nan_duration": (
+        lambda: propagate(QUBIT, RATES, ControlField.constant([0.0, 0.0], 1.0),
+                          from_pure([1, 0]), duration=np.nan),
+        InputError, "field covers [0, 1] but duration nan was requested"),
 }
 
 

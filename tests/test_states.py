@@ -11,6 +11,7 @@ from blochdyn.model import ControlField, ControlSystem, DissipationSpec, dipole_
 from blochdyn.states import (
     CoherenceVector,
     _certified,
+    _offsets,
     _require_density,
     check_density,
     density_from_coordinates,
@@ -20,6 +21,7 @@ from blochdyn.states import (
     purity,
     to_coherence_vector,
 )
+from blochdyn.tolerances import CERTIFICATE_SLACK
 
 
 def random_density(rng, dim):
@@ -304,6 +306,62 @@ def test_certificate_verdict_matches_check_density(dim, size, seed, defects, tol
             _require_density(stack, tol, times=times)
         assert str(via.value) == str(direct.value)
         np.testing.assert_equal(via.value.worst, direct.value.worst)
+
+
+def full_matrix_offsets(stack):
+    """Hermiticity and trace offsets read over every entry, as a reference for _offsets."""
+    herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+    tr = np.trace(stack, axis1=1, axis2=2)
+    return herm, np.abs(tr.real - 1.0) + np.abs(tr.imag)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dim=st.integers(1, 8), size=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       noise=st.sampled_from([0.0, 1e-12, 1e-3, 1.0]),
+       entries=st.lists(st.tuples(st.integers(0, 255), st.sampled_from([np.nan, np.inf, -np.inf]),
+                                  st.booleans()), max_size=4))
+def test_offsets_match_the_full_matrix_bit_for_bit(dim, size, seed, noise, entries):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_density(rng, dim) for _ in range(size)])
+    stack += noise * (rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape))
+    flat = stack.reshape(-1)
+    for index, value, real in entries:
+        z = flat[index % flat.size]
+        flat[index % flat.size] = complex(value, z.imag) if real else complex(z.real, value)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = _offsets(stack), full_matrix_offsets(stack)
+    for g, w in zip(got, want):
+        # NaN in the same places, and every other value to the bit
+        np.testing.assert_array_equal(np.isnan(g), np.isnan(w))
+        assert g[~np.isnan(g)].tobytes() == w[~np.isnan(w)].tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([1e-9, 1e-7]),
+       kinds=st.lists(st.sampled_from(["mixed", "pure", "above", "below"]), min_size=1,
+                      max_size=6),
+       gap=st.sampled_from([1e-6, 0.3 * CERTIFICATE_SLACK, 3 * CERTIFICATE_SLACK, 1e-2, 0.5]))
+def test_certificate_proves_only_states_that_pass(dim, seed, tol, kinds, gap):
+    # "above" places the smallest eigenvalue at -tol (1 - gap), just inside
+    # the bound, "below" at -tol (1 + gap), just past it
+    rng = np.random.default_rng(seed)
+    stack = []
+    for kind in kinds:
+        if kind == "pure":
+            stack.append(from_pure(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
+            continue
+        w, v = np.linalg.eigh(random_density(rng, dim))
+        if kind != "mixed":
+            target = -tol * (1.0 - gap if kind == "above" else 1.0 + gap)
+            w[1] += w[0] - target
+            w[0] = target
+        stack.append((v * w) @ v.conj().T)
+    stack = np.array(stack)
+    if _certified(stack, tol):
+        check_density(stack, tol)
+    if "below" not in kinds and ("above" not in kinds or gap > 2 * CERTIFICATE_SLACK):
+        # the certificate's band lies within tol CERTIFICATE_SLACK above -tol
+        assert _certified(stack, tol)
 
 
 def test_coherence_vector_length_validation():
