@@ -29,7 +29,6 @@ from .dynamics import (
 )
 from .errors import (
     BlochdynError,
-    ClosureError,
     ConfigError,
     InputError,
     NonUniqueEquilibriumError,
@@ -40,7 +39,6 @@ from .errors import (
 from .liouville import (
     build_dissipator,
     commutator_superop,
-    devectorize,
     generator_pieces,
     qubit_superoperators,
     support_overlap,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineGenerator",
     "BlochdynError",
-    "ClosureError",
     "CoherenceVector",
     "ConfigError",
     "ControlField",
@@ -93,7 +90,6 @@ __all__ = [
     "commutator_superop",
     "complex_to_real",
     "decompose_inhomogeneous",
-    "devectorize",
     "dipole_coupling",
     "expm",
     "from_coherence_vector",

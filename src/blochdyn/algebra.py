@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import AffineGenerator, _affine_images
-from .errors import ClosureError, InputError
+from .errors import InputError
 from .liouville import generator_pieces
-from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM, MAX_DEPTH, positive_finite, real_valued
+from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM, positive_finite, real_valued
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def complex_to_real(m):
     return np.block([[x, -y], [y, x]])
 
 
-def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
+def lie_closure(generators, tol=CLOSURE_TOL):
     """Commutator closure of a (K, n, n) stack, or list, of real square matrices.
 
     The generators are normalized to unit Frobenius norm and the basis is
@@ -64,13 +64,16 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
     and enters the independence test unscaled: its part outside the span
     must exceed tol. Normalizing a nearly vanishing bracket would magnify
     its rounding past tol, so that a b of rounding size (symmetric
-    relaxation) would count as translations. When every n x n generator has
-    an exactly zero last row (affine embeddings), so does every commutator,
-    and the closure stops as soon as it spans all n(n-1) such directions.
+    relaxation) would count as translations. The normalized generators are
+    round 0's candidates; each later round brackets the directions the
+    round before added with every older one, so each pair of basis elements
+    is bracketed once. A round that adds nothing proves the span closed, and
+    each round before it adds a direction, so at most cap + 1 rounds run:
+    cap is n^2, or n(n-1) when every generator has an exactly zero last row
+    (affine embeddings), as then does every commutator.
     Generators that all vanish generate the zero algebra, of dim 0.
     Complex or non-finite generators, and a tol not positive and finite,
-    raise InputError (a ValueError). Raises ClosureError (with the partial basis
-    attached) when max_depth rounds do not reach closure.
+    raise InputError (a ValueError).
     """
     positive_finite("tol", tol)
     mats = real_valued("generators", generators)
@@ -93,6 +96,11 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
         q[k] = v / resid
         return k + 1
 
+    def brackets(i):
+        # commutators are antisymmetric, so unordered pairs suffice
+        bi, older = q[i].reshape(n, n), q[:i].reshape(i, n, n)
+        return (bi @ older - older @ bi).reshape(i, n * n)
+
     def result(k):
         return LieBasis(elements=q[:k].reshape(k, n, n).copy(), ambient_dim=n)
 
@@ -102,23 +110,10 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
     rows = rows / scale[:, None]
     nrm = np.linalg.norm(rows, axis=1)
     keep = nrm >= CLOSURE_ZERO_NORM / scale
-    k = 0
-    for v in rows[keep] / nrm[keep, None]:
-        k = try_add(v, k)
-        if k == cap:
-            return result(k)
-
-    frontier = range(k)
-    for _ in range(max_depth):
-        if not frontier:
-            return result(k)
+    k, blocks = 0, [rows[keep] / nrm[keep, None]]
+    while True:
         start = k
-        # commutators are antisymmetric, so unordered pairs suffice; pairs
-        # of older elements were exhausted in earlier rounds
-        for i in frontier:
-            bi = q[i].reshape(n, n)
-            older = q[:i].reshape(i, n, n)
-            cand = (bi @ older - older @ bi).reshape(i, n * n)
+        for cand in blocks:
             # a candidate already within tol of the span stays there as the
             # basis grows, so one batched projection screens out most of them
             resid = cand - (cand @ q[:k].T) @ q[:k]
@@ -126,13 +121,10 @@ def lie_closure(generators, tol=CLOSURE_TOL, max_depth=MAX_DEPTH):
                 k = try_add(v, k)
                 if k == cap:
                     return result(k)
-        frontier = range(start, k)
-    if not frontier:
-        return result(k)
-    raise ClosureError(
-        "closure not reached within depth %d (dim %d so far)" % (max_depth, k),
-        partial=result(k),
-    )
+        if k == start:
+            return result(k)
+        # one block at a time: a round's brackets at once hold up to k^2 n^2 / 2 floats
+        blocks = map(brackets, range(start, k))
 
 
 def hamiltonian_algebra(sys, tol=CLOSURE_TOL):
@@ -173,8 +165,6 @@ def decompose_inhomogeneous(basis, tol=CLOSURE_TOL):
     # one common scale: a block that is numerically zero relative to the
     # basis as a whole must not inflate its own rank
     scale = max(s_hom[0] if s_hom.size else 0.0, s_trans[0] if s_trans.size else 0.0)
-    if scale == 0.0:
-        return (0, 0)
     return (
         int(np.sum(s_hom > tol * scale)),
         int(np.sum(s_trans > tol * scale)),

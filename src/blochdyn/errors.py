@@ -42,14 +42,3 @@ class NonUniqueEquilibriumError(PhysicsError):
     def __init__(self, message, null_dim):
         super().__init__(message)
         self.null_dim = null_dim
-
-
-class ClosureError(PhysicsError):
-    """Commutator closure did not terminate within the depth budget.
-
-    ``partial`` carries the basis accumulated so far.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial

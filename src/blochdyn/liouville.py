@@ -24,15 +24,6 @@ def vectorize(rho):
     return rho.reshape(-1)
 
 
-def devectorize(v):
-    """Inverse of vectorize; the length must be a perfect square."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    dim = int(round(np.sqrt(v.size)))
-    if dim * dim != v.size:
-        raise ValueError("vector length %d is not a perfect square" % v.size)
-    return v.reshape(dim, dim)
-
-
 def commutator_superop(h, hbar=1.0):
     """Matrix of rho -> (1/i hbar)(H rho - rho H) on row-stacked vectors."""
     return _commutator(_check_hermitian(h, "H"), hbar)
@@ -152,7 +143,7 @@ def total_generator(sys, spec, f):
 def trace_residual(superop):
     """Worst violation of trace preservation (left action on the trace row).
 
-    The functional v -> tr(devectorize(v)) is the row vector vec(I)^T; a
+    The trace of a row-stacked matrix v is the functional vec(I)^T v; a
     trace-preserving generator must be annihilated by it.
     """
     superop = np.asarray(superop, dtype=complex)

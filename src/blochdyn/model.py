@@ -38,13 +38,15 @@ class ControlSystem:
         controls = tuple(
             _check_hermitian(h, "control %d" % m) for m, h in enumerate(self.controls)
         )
-        if not 0 < self.hbar < np.inf:
+        hbar = float(real_valued("hbar", self.hbar))
+        if not 0 < hbar < np.inf:
             raise ValueError("hbar must be positive and finite")
         for m, h in enumerate(controls):
             if h.shape != h0.shape:
                 raise ValueError("control %d dimension differs from h0" % m)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "hbar", hbar)
 
     @property
     def dim(self):
@@ -151,7 +153,7 @@ def qubit_system(e1, e2, d1, d2, hbar=1.0):
     return ControlSystem(h0=np.diag([e1, e2]).astype(complex),
                          controls=(dipole_coupling(2, 0, 1, d1, "x"),
                                    dipole_coupling(2, 0, 1, d2, "y")),
-                         hbar=float(hbar))
+                         hbar=hbar)
 
 
 def dipole_coupling(dim, j, k, moment, axis="x"):

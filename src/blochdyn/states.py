@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InputError, UnphysicalStateError
 from .liouville import vectorize
-from .tolerances import CERTIFICATE_SLACK, STATE_TRACE_TOL, VALIDITY_TOL, positive_finite
+from .tolerances import (CERTIFICATE_SLACK, STATE_TRACE_TOL, VALIDITY_TOL, positive_finite,
+                         real_valued)
 
 
 @dataclass(frozen=True)
@@ -25,13 +26,15 @@ class CoherenceVector:
     """Real coordinates of a density matrix: basis coefficients plus trace.
 
     bloch has length N**2 - 1; trace_part is tr(rho), which must be 1.
+    Both are real: InputError names either for a nonzero imaginary part.
     """
 
     bloch: np.ndarray
     trace_part: float
 
     def __post_init__(self):
-        object.__setattr__(self, "bloch", np.asarray(self.bloch, dtype=float))
+        object.__setattr__(self, "bloch", real_valued("bloch", self.bloch))
+        object.__setattr__(self, "trace_part", float(real_valued("trace_part", self.trace_part)))
         n2 = self.bloch.size + 1
         dim = int(round(np.sqrt(n2)))
         if dim * dim != n2:
@@ -144,7 +147,7 @@ def _certified(stack, tol):
     False proves nothing; check_density decides.
     """
     herm, trace = _offsets(stack)
-    if not ((herm <= tol).all() and (trace <= STATE_TRACE_TOL).all()):
+    if not (stack.size and (herm <= tol).all() and (trace <= STATE_TRACE_TOL).all()):
         return False
     n = stack.shape[-1]
     try:

@@ -34,11 +34,6 @@ SPECTRUM_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 # commutators with a Frobenius norm below this are dropped as zero
 CLOSURE_ZERO_NORM = 1e-14
-# rounds of commutators lie_closure takes before it raises ClosureError.
-# Seeded random perfbench ladders (10 each at N = 2-4, 5 at N = 5, 2 at
-# N = 6) close in 3 rounds at N = 2-4 and in 4 at N = 5-6, their affine
-# generator sets and their Hamiltonian algebras alike; 8 is twice the deepest
-MAX_DEPTH = 8
 # singular values at or below this times the largest make A singular
 SINGULAR_RATIO = 1e-12
 # a steady-state sweep decomposes every SWEEP_ANCHOR_STRIDE-th A(a) in

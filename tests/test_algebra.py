@@ -7,6 +7,7 @@ import pytest
 
 from blochdyn import algebra, bloch
 from blochdyn.algebra import (
+    LieBasis,
     affine_embed,
     affine_generator_set,
     complex_to_real,
@@ -15,7 +16,6 @@ from blochdyn.algebra import (
     lie_closure,
 )
 from blochdyn.bloch import to_affine
-from blochdyn.errors import ClosureError
 from blochdyn.liouville import generator_pieces
 from blochdyn.model import ControlSystem, DissipationSpec, qubit_system
 from test_propagation_properties import admissible_system
@@ -130,30 +130,18 @@ def test_closure_invariant_under_generator_recombination():
         assert lie_closure(mixed).dim == ref
 
 
-def test_closure_depth_limit_raises_with_partial():
-    # the ladder closes in three rounds; fewer leave a partial basis that
-    # is orthonormal and still closes to the full algebra
-    sys, spec = make_ladder()
-    for depth in (1, 2):
-        with pytest.raises(ClosureError) as err:
-            lie_closure(affine_generator_set(sys, spec), max_depth=depth)
-        partial = err.value.partial
-        assert partial is not None
-        assert 3 <= partial.dim < 72
-        vecs = np.array([m.reshape(-1) for m in partial.elements])
-        assert np.max(np.abs(vecs @ vecs.T - np.eye(partial.dim))) < 1e-9
-        assert lie_closure(list(partial.elements)).dim == 72
-
-
-def test_closure_stops_when_the_last_allowed_round_adds_nothing():
-    # so(3) from J_x and J_y: round 1 adds J_z and round 2 adds nothing, so
-    # two rounds prove closure; one round leaves J_z's brackets untried
-    jx = np.array([[0.0, 0, 0], [0, 0, -1], [0, 1, 0]])
-    jy = np.array([[0.0, 0, 1], [0, 0, 0], [-1, 0, 0]])
-    assert lie_closure([jx, jy], max_depth=2).dim == 3
-    with pytest.raises(ClosureError) as err:
-        lie_closure([jx, jy], max_depth=1)
-    assert err.value.partial.dim == 3
+@pytest.mark.parametrize("m", [9, 12])
+def test_closure_of_a_nilpotent_pair_runs_as_many_rounds_as_it_needs(m):
+    # X = [[J, 0], [0, 0]] with J the m x m shift and Y the translation e_m:
+    # round r adds only ad_X^r Y = J^r e_m, so the closure takes m - 1 rounds
+    # to reach e_1 and one more to find nothing new
+    x = np.zeros((m + 1, m + 1))
+    x[np.arange(m - 1), np.arange(1, m)] = 1.0
+    y = np.zeros((m + 1, m + 1))
+    y[m - 1, m] = 1.0
+    basis = lie_closure([x, y])
+    assert basis.dim == m + 1
+    assert decompose_inhomogeneous(basis) == (1, m)
 
 
 def test_closure_input_validation():
@@ -227,6 +215,10 @@ def test_affine_generator_set_makes_no_per_piece_call(monkeypatch):
                                     calls.append(_n) or _f(*args))
     assert len(affine_generator_set(*make_ladder())) == 4
     assert calls == []
+
+
+def test_decompose_of_an_all_zero_basis_is_empty():
+    assert decompose_inhomogeneous(LieBasis(elements=np.zeros((2, 3, 3)), ambient_dim=3)) == (0, 0)
 
 
 def test_decompose_requires_affine_embedding():

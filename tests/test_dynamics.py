@@ -38,7 +38,8 @@ from blochdyn.errors import (
 from blochdyn.liouville import (_combine, build_dissipator, generator_pieces, total_generator,
                                 vectorize)
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
-from blochdyn.states import from_pure, to_coherence_vector
+from blochdyn.states import (CoherenceVector, from_coherence_vector, from_pure,
+                             to_coherence_vector)
 from blochdyn.tolerances import CONIC_FIT_TOL, GRID_STEP_SLACK, PROPAGATION_TOL, TAYLOR_THETA
 from test_propagation_properties import admissible_system
 
@@ -276,6 +277,12 @@ def test_complex_input_with_zero_imaginary_parts_is_read_as_real():
     amps = np.linspace(-1.0, 1.0, 7)
     assert (steady_state_sweep(sys, spec, 0, amps + 0j).points.tobytes()
             == steady_state_sweep(sys, spec, 0, amps).points.tobytes())
+    rescaled = [ControlSystem(h0=sys.h0, controls=sys.controls, hbar=h) for h in (2.0 + 0j, 2.0)]
+    assert (steady_state(rescaled[0], spec, [0.3, 0.0]).bloch.tobytes()
+            == steady_state(rescaled[1], spec, [0.3, 0.0]).bloch.tobytes())
+    v = [CoherenceVector(bloch=[0.5 + 0j, 0j, 0j], trace_part=1.0 + 0j),
+         CoherenceVector(bloch=[0.5, 0.0, 0.0], trace_part=1.0)]
+    assert from_coherence_vector(v[0]).tobytes() == from_coherence_vector(v[1]).tobytes()
 
 
 def test_propagate_rejects_unphysical_initial_state():

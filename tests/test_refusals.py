@@ -15,12 +15,13 @@ from blochdyn.algebra import (LieBasis, affine_embed, affine_generator_set,
 from blochdyn.bloch import AffineGenerator, ball_containment, to_affine
 from blochdyn.cli import main
 from blochdyn.config import template_text
-from blochdyn.dynamics import propagate, semigroup_spectrum, steady_state, steady_state_sweep
+from blochdyn.dynamics import (expm, propagate, semigroup_spectrum, steady_state,
+                               steady_state_sweep)
 from blochdyn.errors import InputError
-from blochdyn.liouville import (devectorize, qubit_superoperators, support_overlap,
-                                total_generator, vectorize)
+from blochdyn.liouville import qubit_superoperators, support_overlap, total_generator, vectorize
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
-from blochdyn.states import check_density, from_pure, gell_mann_basis
+from blochdyn.states import (CoherenceVector, _require_density, check_density, from_pure,
+                             gell_mann_basis)
 
 QUBIT = qubit_system(0.0, 1.0, d1=1.0, d2=0.5)
 LADDER = ControlSystem(h0=np.diag([0.0, 1.0, 2.5]), controls=())
@@ -44,8 +45,6 @@ REFUSALS = {
         InputError, "system, dissipation and state dimensions differ"),
     "vectorize_non_square": (lambda: vectorize(np.ones((2, 3))),
                              ValueError, "expected a square matrix"),
-    "devectorize_non_square_length": (lambda: devectorize(np.ones(5)),
-                                      ValueError, "vector length 5 is not a perfect square"),
     "qubit_superoperators_of_three_levels": (
         lambda: qubit_superoperators(LADDER, DissipationSpec.zero(3)),
         ValueError, "explicit superoperators are defined for two levels"),
@@ -87,6 +86,15 @@ REFUSALS = {
     # once numpy's "zero-size array to reduction operation maximum"
     "density_check_of_an_empty_stack": (lambda: check_density(np.empty((0, 2, 2))),
                                         InputError, "density matrix must be square and nonempty"),
+    # once returned None: the certificate proved the empty stack physical
+    "certified_check_of_an_empty_stack": (lambda: _require_density(np.empty((0, 3, 3))),
+                                          InputError, "density matrix must be square and nonempty"),
+    "exponential_of_a_non_square_matrix": (lambda: expm(np.ones((2, 3))), ValueError,
+                                           "expected a square matrix or a stack of them"),
+    "exponential_of_a_vector": (lambda: expm(np.ones(4)), ValueError,
+                                "expected a square matrix or a stack of them"),
+    "exponential_of_a_non_square_stack": (lambda: expm(np.ones((2, 2, 3))), ValueError,
+                                          "expected a square matrix or a stack of them"),
     # passed the range check and then failed with an IndexError
     "sweep_of_a_fractional_control": (
         lambda: steady_state_sweep(QUBIT, RATES, 1.5, np.linspace(0.0, 1.0, 6)),
@@ -123,6 +131,14 @@ REFUSALS = {
     "complex_dephasing": (lambda: DissipationSpec(dephasing=[[0.0, 0.3j], [0.3j, 0.0]],
                                                   relaxation=np.zeros((2, 2))),
                           InputError, "dephasing must be real"),
+    # these three once raised an untyped TypeError, or numpy's UFuncTypeError
+    # only when the state was rebuilt
+    "complex_coherence_vector": (lambda: CoherenceVector(bloch=[0.5j, 0.0, 0.0], trace_part=1.0),
+                                 InputError, "bloch must be real"),
+    "complex_trace_part": (lambda: CoherenceVector(bloch=[0.0, 0.0, 0.0], trace_part=1.0 + 0.5j),
+                           InputError, "trace_part must be real"),
+    "complex_hbar": (lambda: ControlSystem(h0=np.eye(2), controls=(), hbar=1j),
+                     InputError, "hbar must be real"),
     # a bool is an int: this once failed with numpy's "shape mismatch"
     "sweep_of_a_bool_control": (
         lambda: steady_state_sweep(QUBIT, RATES, True, np.linspace(0.0, 1.0, 6)),
