@@ -9,7 +9,6 @@ dynamical Lie algebra closures, and locates steady-state attractors.
 
 from .algebra import (
     LieBasis,
-    affine_embed,
     affine_generator_set,
     complex_to_real,
     decompose_inhomogeneous,
@@ -59,7 +58,6 @@ from .states import (
     from_coherence_vector,
     from_pure,
     gell_mann_basis,
-    purity,
     to_coherence_vector,
 )
 
@@ -82,7 +80,6 @@ __all__ = [
     "SweepReport",
     "Trajectory",
     "UnphysicalStateError",
-    "affine_embed",
     "affine_generator_set",
     "ball_containment",
     "build_dissipator",
@@ -99,7 +96,6 @@ __all__ = [
     "hamiltonian_algebra",
     "lie_closure",
     "propagate",
-    "purity",
     "quasi_spin_translation",
     "qubit_superoperators",
     "qubit_system",

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import AffineGenerator, _affine_images
+from .bloch import _affine_images
 from .errors import InputError
 from .liouville import generator_pieces
-from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM, positive_finite, real_valued
+from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM, real_valued
 
 
 @dataclass(frozen=True)
@@ -27,22 +27,14 @@ class LieBasis:
     """Orthonormal basis (Frobenius inner product) of a matrix Lie algebra, a (dim, n, n) array."""
 
     elements: np.ndarray
-    ambient_dim: int
 
     @property
     def dim(self):
         return len(self.elements)
 
-
-def affine_embed(gen):
-    """[[A, b], [0, 0]] embedding of an affine generator or (A, b) pair."""
-    if not isinstance(gen, AffineGenerator):
-        gen = AffineGenerator(*gen)
-    n = gen.b.size
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = gen.a
-    m[:n, n] = gen.b
-    return m
+    @property
+    def ambient_dim(self):
+        return self.elements.shape[-1]
 
 
 def complex_to_real(m):
@@ -56,14 +48,14 @@ def complex_to_real(m):
     return np.block([[x, -y], [y, x]])
 
 
-def lie_closure(generators, tol=CLOSURE_TOL):
+def lie_closure(generators):
     """Commutator closure of a (K, n, n) stack, or list, of real square matrices.
 
     The generators are normalized to unit Frobenius norm and the basis is
     kept orthonormal, so a bracket of two basis elements has norm at most 2
     and enters the independence test unscaled: its part outside the span
-    must exceed tol. Normalizing a nearly vanishing bracket would magnify
-    its rounding past tol, so that a b of rounding size (symmetric
+    must exceed CLOSURE_TOL. Normalizing a nearly vanishing bracket would
+    magnify its rounding past it, so that a b of rounding size (symmetric
     relaxation) would count as translations. The normalized generators are
     round 0's candidates; each later round brackets the directions the
     round before added with every older one, so each pair of basis elements
@@ -72,10 +64,8 @@ def lie_closure(generators, tol=CLOSURE_TOL):
     cap is n^2, or n(n-1) when every generator has an exactly zero last row
     (affine embeddings), as then does every commutator.
     Generators that all vanish generate the zero algebra, of dim 0.
-    Complex or non-finite generators, and a tol not positive and finite,
-    raise InputError (a ValueError).
+    Complex or non-finite generators raise InputError (a ValueError).
     """
-    positive_finite("tol", tol)
     mats = real_valued("generators", generators)
     if mats.ndim != 3 or not len(mats) or mats.shape[1] != mats.shape[2]:
         raise ValueError("need one or more generators of a common square shape")
@@ -91,7 +81,7 @@ def lie_closure(generators, tol=CLOSURE_TOL):
         for _ in range(2):
             v = v - q[:k].T @ (q[:k] @ v)
         resid = np.linalg.norm(v)
-        if resid <= tol:
+        if resid <= CLOSURE_TOL:
             return k
         q[k] = v / resid
         return k + 1
@@ -102,7 +92,7 @@ def lie_closure(generators, tol=CLOSURE_TOL):
         return (bi @ older - older @ bi).reshape(i, n * n)
 
     def result(k):
-        return LieBasis(elements=q[:k].reshape(k, n, n).copy(), ambient_dim=n)
+        return LieBasis(elements=q[:k].reshape(k, n, n).copy())
 
     rows = mats.reshape(len(mats), n * n)
     # scaled by each row's largest entry first: squaring 1e200 overflows
@@ -114,10 +104,10 @@ def lie_closure(generators, tol=CLOSURE_TOL):
     while True:
         start = k
         for cand in blocks:
-            # a candidate already within tol of the span stays there as the
+            # a candidate already within CLOSURE_TOL of the span stays there as the
             # basis grows, so one batched projection screens out most of them
             resid = cand - (cand @ q[:k].T) @ q[:k]
-            for v in cand[np.linalg.norm(resid, axis=1) > tol]:
+            for v in cand[np.linalg.norm(resid, axis=1) > CLOSURE_TOL]:
                 k = try_add(v, k)
                 if k == cap:
                     return result(k)
@@ -127,12 +117,12 @@ def lie_closure(generators, tol=CLOSURE_TOL):
         blocks = map(brackets, range(start, k))
 
 
-def hamiltonian_algebra(sys, tol=CLOSURE_TOL):
+def hamiltonian_algebra(sys):
     """Real Lie algebra generated by {i H0 / hbar, i H_m / hbar}."""
-    gens = [complex_to_real(1j * sys.h0 / sys.hbar)]
-    for h in sys.controls:
-        gens.append(complex_to_real(1j * h / sys.hbar))
-    return lie_closure(gens, tol=tol)
+    # finite entries can overflow in i H / hbar; lie_closure refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        gens = [complex_to_real(1j * h / sys.hbar) for h in (sys.h0,) + sys.controls]
+    return lie_closure(gens)
 
 
 def affine_generator_set(sys, spec):
@@ -149,23 +139,21 @@ def affine_generator_set(sys, spec):
     return list(_affine_images(generator_pieces(sys, spec)))
 
 
-def decompose_inhomogeneous(basis, tol=CLOSURE_TOL):
-    """(homogeneous rank, translation rank) of an affine-embedded, finite basis."""
-    positive_finite("tol", tol)
-    if basis.dim == 0:
-        return (0, 0)
+def decompose_inhomogeneous(basis):
+    """(homogeneous rank, translation rank) of an affine-embedded, finite basis, at CLOSURE_TOL."""
     n = basis.ambient_dim - 1
     mats = real_valued("basis elements", basis.elements)
     if not np.isfinite(mats).all():
         raise InputError("basis elements must be finite")
-    if np.max(np.abs(mats[:, n])) > tol:
+    if np.abs(mats[:, n]).max(initial=0.0) > CLOSURE_TOL:
         raise ValueError("affine embedding required: last rows must vanish")
-    s_hom = np.linalg.svd(mats[:, :n, :n].reshape(len(mats), -1), compute_uv=False)
+    # an empty basis has no singular values, and so ranks (0, 0)
+    s_hom = np.linalg.svd(mats[:, :n, :n].reshape(len(mats), n * n), compute_uv=False)
     s_trans = np.linalg.svd(mats[:, :n, n], compute_uv=False)
     # one common scale: a block that is numerically zero relative to the
     # basis as a whole must not inflate its own rank
     scale = max(s_hom[0] if s_hom.size else 0.0, s_trans[0] if s_trans.size else 0.0)
     return (
-        int(np.sum(s_hom > tol * scale)),
-        int(np.sum(s_trans > tol * scale)),
+        int(np.sum(s_hom > CLOSURE_TOL * scale)),
+        int(np.sum(s_trans > CLOSURE_TOL * scale)),
     )

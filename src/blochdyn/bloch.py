@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .liouville import build_dissipator, trace_residual
+from .liouville import _finite_pieces, build_dissipator, trace_residual
 from .states import _extraction_maps, _margins
-from .tolerances import (GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled, positive_finite,
-                         real_valued)
+from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled, real_valued
 
 
 @dataclass(frozen=True)
@@ -59,15 +58,17 @@ def _affine_images(pieces):
     """[[A, b], [0, 0]] images of a (K, N^2, N^2) stack of generators to_affine would pass.
 
     R L is a product of its own, then @ E and @ vec(I)/N: one product with
-    [E, vec(I)/N] would round some entries differently.
+    [E, vec(I)/N] would round some entries differently. Sums that overflow
+    raise InputError, as in generator_pieces.
     """
     r, e, mixed = _extraction_maps(round(pieces.shape[-1] ** 0.5))
     n = len(r)
-    rl = r @ pieces
     out = np.zeros((len(pieces), n + 1, n + 1))
-    out[:, :n, :n] = (rl @ e).real
-    out[:, :n, n] = (rl @ mixed).real
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        rl = r @ pieces
+        out[:, :n, :n] = (rl @ e).real
+        out[:, :n, n] = (rl @ mixed).real
+    return _finite_pieces(out)
 
 
 def quasi_spin_translation(spec):
@@ -87,30 +88,26 @@ class ContainmentReport:
     worst_excess: float
     worst_time: float
     n_violations: int
-    n_samples: int
 
 
-def ball_containment(traj, tol=PROPAGATION_TOL):
+def ball_containment(traj):
     """Check that every sample stays inside the ball of radius trace_part.
 
     For two levels this is the Bloch-ball condition |v| <= 1; for more
     levels positivity of each stored density matrix is checked instead,
     with -min eigenvalue from states._margins as the excess measure.
-    Violations are reported, not raised; a tol not positive and finite
-    raises InputError.
+    Excesses past PROPAGATION_TOL are violations, reported, not raised.
     """
-    positive_finite("tol", tol)
     if traj.dim == 2:
         radius = traj.trace_part
         excess = np.linalg.norm(traj.bloch, axis=1) - radius
     else:
         excess = -_margins(traj.rho)[2]
     worst = int(np.argmax(excess))
-    violations = int(np.sum(excess > tol))
+    violations = int(np.sum(excess > PROPAGATION_TOL))
     return ContainmentReport(
         ok=violations == 0,
         worst_excess=float(excess[worst]),
         worst_time=float(traj.times[worst]),
         n_violations=violations,
-        n_samples=len(traj.times),
     )

@@ -20,11 +20,12 @@ t0 + k h, with every segment end exact. exp(G t) itself is formed by scaling
 and squaring the same Taylor polynomial (Higham 2005), so numpy is the only
 dependency.
 Forward time is enforced; amplitude rows that liouville._admit refuses,
-Hamiltonian phases too large to keep digits, grids too large to hold and
-RK4 steps past their stability bound are refused (InputError) before the
-first step, and every sample passes one validity check: states._certified
-proves the stack physical without eigenvalues, and a stack it leaves
-unproven goes to check_density, which decides and names the first failure.
+Hamiltonian phases too large to keep digits, grids too large to hold, steps
+whose norm(G h, 1) could overflow and RK4 steps past their stability bound
+are refused (InputError) before the first step, and every sample passes one
+validity check: states._certified proves the stack physical without
+eigenvalues, and a stack it leaves unproven goes to check_density, which
+decides and names the first failure.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import affine_generator_set
-from .bloch import AffineGenerator
 from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import _admit, _combine
 from .states import (CoherenceVector, _require_density, density_from_coordinates,
@@ -96,9 +96,6 @@ class Trajectory:
     @property
     def dim(self):
         return self.rho.shape[1]
-
-    def __len__(self):
-        return self.times.size
 
     def purities(self):
         """tr(rho^2) at every sample."""
@@ -164,7 +161,8 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     Hamiltonian phase, its duration times the largest entry bound of
     A0 + sum_m f_m A_m (the dissipator left out), passes MAX_PHASE; a
     sample_dt not positive and finite or whose grid passes MAX_SAMPLE_BYTES;
-    and, for sampled fields, a segment whose RK4 step passes RK4_STEP_BOUND.
+    a step h for which N^2 h times the entry bound of G(f) overflows; and,
+    for sampled fields, a segment whose RK4 step passes RK4_STEP_BOUND.
     """
     positive_finite("validity_tol", validity_tol)
     if sample_dt is not None:
@@ -195,6 +193,13 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
                                           MAX_SAMPLE_BYTES >> 20))
     count, order = len(durations), sys.dim ** 2
     h = durations / steps
+    bound = ham + np.abs(gens[-1]).max()  # on every entry of G(f), finite by _admit
+    with np.errstate(over="ignore"):  # expm needs norm(G h, 1) <= N^2 h bound finite
+        finite = np.isfinite(order * h * bound)
+    if not finite.all():
+        k = finite.argmin()
+        raise InputError("segment %d: step %.3g times %d and the entry bound %.3g of G(f) "
+                         "overflows, so exp(G h) cannot be formed" % (k, h[k], order, bound[k]))
     if field.kind == "sampled" and count:
         _check_rk4_steps(gens, rows, h)
     weights = np.pad(rows, ((0, 0), (1, 1)), constant_values=1.0)  # rows (1, f_k, 1)
@@ -342,7 +347,7 @@ class SpectrumReport:
 
 
 def semigroup_spectrum(gen):
-    """Spectrum of a Liouville or affine generator with stability flags.
+    """Spectrum of a generator matrix, a Liouville L or an affine part A, with stability flags.
 
     forward_bounded means no real part exceeds SPECTRUM_TOL * max(1, max|gen|):
     exp(gen t) stays bounded for all t >= 0 but generally blows up for t < 0,
@@ -350,10 +355,7 @@ def semigroup_spectrum(gen):
     zero_modes counts steady-state candidates, the eigenvalues whose modulus
     is within that same scaled tolerance of zero. InputError refuses a non-finite gen.
     """
-    if isinstance(gen, AffineGenerator):
-        mat = gen.a
-    else:
-        mat = np.asarray(gen)
+    mat = np.asarray(gen)
     if not np.isfinite(mat).all():
         raise InputError("generator must be finite")
     eig = np.linalg.eigvals(mat)

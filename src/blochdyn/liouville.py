@@ -85,6 +85,11 @@ def generator_pieces(sys, spec):
     with np.errstate(over="ignore", invalid="ignore"):
         pieces = np.array([_commutator(h, sys.hbar) for h in (sys.h0,) + sys.controls]
                           + [build_dissipator(spec)])
+    return _finite_pieces(pieces)
+
+
+def _finite_pieces(pieces):
+    """pieces, once every entry is finite; InputError when assembly overflowed."""
     if not np.isfinite(pieces).all():
         raise InputError("generator pieces overflow: Hamiltonian or rates too large")
     return pieces

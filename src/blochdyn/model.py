@@ -79,7 +79,7 @@ class DissipationSpec:
             raise ValueError("rates must be finite and nonnegative")
         if exceeds_scaled(np.max(np.abs(g - g.T)), np.max(np.abs(g))):
             raise ValueError("dephasing matrix must be symmetric")
-        g = 0.5 * (g + g.T)
+        g = 0.5 * g + 0.5 * g.T  # halved first: g + g.T overflows past 8.9e307
         if np.any(np.diag(g) != 0) or np.any(np.diag(r) != 0):
             raise ValueError("rate matrices must have zero diagonal")
         object.__setattr__(self, "dephasing", g)
@@ -145,9 +145,10 @@ class ControlField:
 def qubit_system(e1, e2, d1, d2, hbar=1.0):
     """Two-level system with x- and y-type dipole controls.
 
-    H0 = diag(e1, e2), H1 = d1 sigma_x, H2 = d2 sigma_y. Levels must be
-    ordered e1 < e2.
+    H0 = diag(e1, e2), H1 = d1 sigma_x, H2 = d2 sigma_y, all real. Levels
+    must be ordered e1 < e2.
     """
+    e1, e2 = float(real_valued("e1", e1)), float(real_valued("e2", e2))
     if e1 >= e2:
         raise ValueError("levels not ordered: need e1 < e2")
     return ControlSystem(h0=np.diag([e1, e2]).astype(complex),
@@ -161,6 +162,7 @@ def dipole_coupling(dim, j, k, moment, axis="x"):
 
     axis "x" gives moment (|j><k| + |k><j|), axis "y" the imaginary variant.
     """
+    moment = float(real_valued("moment", moment))
     if not (0 <= j < dim and 0 <= k < dim) or j == k:
         raise ValueError("coupling needs two distinct levels inside the system")
     h = np.zeros((dim, dim), dtype=complex)

@@ -41,10 +41,6 @@ class CoherenceVector:
             raise ValueError("bloch length must be N**2 - 1 for integer N")
         object.__setattr__(self, "dim", dim)
 
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.bloch))
-
 
 @lru_cache(maxsize=16)
 def gell_mann_basis(dim):
@@ -209,12 +205,6 @@ def from_pure(amplitudes):
         raise ValueError("degenerate state: zero amplitude vector")
     c = c / nrm
     return np.outer(c, c.conj())
-
-
-def purity(rho):
-    """tr(rho^2), in [1/N, 1]; equals 1 exactly on pure states."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.sum(rho * rho.T)))
 
 
 def to_coherence_vector(rho):

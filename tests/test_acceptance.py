@@ -40,6 +40,7 @@ from blochdyn.model import (
     qubit_system,
 )
 from blochdyn.states import from_pure
+from blochdyn.tolerances import CLOSURE_TOL, PROPAGATION_TOL
 
 
 def _report(num, name, ok, detail):
@@ -173,15 +174,16 @@ def test_03_algebra_dimensions():
             dephasing=[[0.0, big], [big, 0.0]],
             relaxation=[[0.0, g12], [g21, 0.0]],
         )
-        hdim = hamiltonian_algebra(sys_, tol=1e-10).dim
-        basis = lie_closure(affine_generator_set(sys_, spec), tol=1e-10)
-        split = decompose_inhomogeneous(basis, tol=1e-10)
+        hdim = hamiltonian_algebra(sys_).dim
+        basis = lie_closure(affine_generator_set(sys_, spec))
+        split = decompose_inhomogeneous(basis)
         if hdim != 4 or basis.dim != 12 or split != (9, 3):
             failures.append((trial, hdim, basis.dim, split))
     elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 1.0
+    # the counts hold at the rank tolerance they are stated at
+    ok = CLOSURE_TOL == 1e-10 and not failures and elapsed < 1.0
     _report(3, "algebra-dimensions", ok,
-            "%d/20 failures, %.3f s" % (len(failures), elapsed))
+            "%d/20 failures at tol %g, %.3f s" % (len(failures), CLOSURE_TOL, elapsed))
 
 
 def test_04_quasi_spin_translations_vanish():
@@ -305,7 +307,7 @@ def test_07_ball_containment():
         worst_norm = max(worst_norm, float(np.max(norms)))
         if np.any(norms > 1.0 + 1e-7):
             n_outside += 1
-        assert ball_containment(traj, tol=1e-7).ok == (not np.any(norms > 1.0 + 1e-7))
+        assert ball_containment(traj).ok == (not np.any(norms > 1.0 + 1e-7))
     # zero rates: motion stays on the initial spherical shell
     worst_drift = 0.0
     zero = DissipationSpec.zero(2)
@@ -325,10 +327,11 @@ def test_07_ball_containment():
             float(np.max(np.abs(purs - purs[0]))),
         )
     elapsed = time.perf_counter() - t0
-    ok = n_outside == 0 and worst_drift <= 1e-9 and elapsed < 10.0
+    # containment is judged at the excess it is stated at
+    ok = PROPAGATION_TOL == 1e-7 and n_outside == 0 and worst_drift <= 1e-9 and elapsed < 10.0
     _report(7, "ball-containment", ok,
-            "max norm %.9f, %d/1000 escapes, zero-rate drift %.2e, %.2f s"
-            % (worst_norm, n_outside, worst_drift, elapsed))
+            "max norm %.9f, %d/1000 escapes at tol %g, zero-rate drift %.2e, %.2f s"
+            % (worst_norm, n_outside, PROPAGATION_TOL, worst_drift, elapsed))
 
 
 def test_08_attractor_geometry():

@@ -484,6 +484,30 @@ def test_grid_too_large_to_hold_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, dephasing, relaxation, duration, message", [
+    # both once ended in a traceback: expm's "matrix exponential of non-finite
+    # input", and an overflow in the RK4 step check
+    ("piecewise", 1e307, 1.0, 1e3,
+     "segment 0: step 1e+03 times 4 and the entry bound 1e+307 of G(f) overflows"),
+    ("sampled", 1e303, 1.0, 1e8,
+     "segment 0: step 1e+08 times 4 and the entry bound 1e+303 of G(f) overflows"),
+    # once a RuntimeWarning, then "field amplitudes overflow the generator"
+    ("piecewise", 0.0, 1.7e308, 1.0, "generator pieces overflow: Hamiltonian or rates too large"),
+], ids=["exact-step", "rk4-step", "affine-images"])
+def test_rates_whose_steps_overflow_are_a_config_error(tmp_path, capsys, kind, dephasing,
+                                                       relaxation, duration, message):
+    doc = {"system": {"levels": 2, "energies": [0.0, 1.0], "dipoles": []},
+           "dissipation": {"dephasing": [[0.0, dephasing], [dephasing, 0.0]],
+                           "relaxation": [[0.0, relaxation], [0.0, 0.0]]},
+           "field": {"kind": kind, "segments": [{"duration": duration, "values": []}]},
+           "initial": {"pure": [[1.0, 0.0], [1.0, 0.0]]}, "run": {"sample_dt": duration}}
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: " + message)
+    assert captured.out == "" and not out.exists()
+
+
 def test_analyze_report_content(tmp_path, capsys):
     cfg_path = write_config(tmp_path, make_doc())
     out = tmp_path / "report.json"

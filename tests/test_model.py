@@ -136,3 +136,10 @@ def test_field_validation():
     with pytest.raises(ValueError):
         ControlField(segments=((1.0, (0.5,)),), kind="spline")
 
+
+
+def test_rates_near_the_float_limit_are_stored_finite():
+    # g + g^T overflowed here and stored inf for a finite, symmetric input
+    spec = DissipationSpec(dephasing=[[0.0, 1.7e308], [1.7e308, 0.0]],
+                           relaxation=np.zeros((2, 2)))
+    assert spec.dephasing[0, 1] == spec.dephasing[1, 0] == 1.7e308

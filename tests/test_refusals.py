@@ -10,16 +10,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from blochdyn.algebra import (LieBasis, affine_embed, affine_generator_set,
-                              decompose_inhomogeneous, hamiltonian_algebra, lie_closure)
-from blochdyn.bloch import AffineGenerator, ball_containment, to_affine
+from blochdyn.algebra import (LieBasis, affine_generator_set, decompose_inhomogeneous,
+                              hamiltonian_algebra, lie_closure)
+from blochdyn.bloch import AffineGenerator, to_affine
 from blochdyn.cli import main
 from blochdyn.config import template_text
 from blochdyn.dynamics import (expm, propagate, semigroup_spectrum, steady_state,
                                steady_state_sweep)
 from blochdyn.errors import InputError
 from blochdyn.liouville import qubit_superoperators, support_overlap, total_generator, vectorize
-from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
+from blochdyn.model import (ControlField, ControlSystem, DissipationSpec, dipole_coupling,
+                            qubit_system)
 from blochdyn.states import (CoherenceVector, _require_density, check_density, from_pure,
                              gell_mann_basis)
 
@@ -63,26 +64,11 @@ REFUSALS = {
     "spectrum_of_a_nan_generator": (lambda: semigroup_spectrum(np.full((3, 3), np.nan)),
                                     InputError, "generator must be finite"),
     "split_of_a_basis_with_a_nan_element": (
-        lambda: decompose_inhomogeneous(LieBasis(elements=np.full((1, 3, 3), np.nan),
-                                                 ambient_dim=3)),
+        lambda: decompose_inhomogeneous(LieBasis(elements=np.full((1, 3, 3), np.nan))),
         InputError, "basis elements must be finite"),
-    # a tol that is not positive and finite once gave a wrong answer (dim 4
-    # or 0, ranks (0, 0), an "unphysical" valid state, ok=True) or another
-    # function's error
-    "closure_with_a_nan_tol": (lambda: lie_closure(affine_generator_set(QUBIT, RATES), tol=np.nan),
-                               InputError, "tol must be positive and finite, got nan"),
-    "hamiltonian_algebra_with_an_infinite_tol": (
-        lambda: hamiltonian_algebra(QUBIT, tol=np.inf),
-        InputError, "tol must be positive and finite, got inf"),
-    "split_with_a_negative_tol": (
-        lambda: decompose_inhomogeneous(lie_closure(affine_generator_set(QUBIT, RATES)), tol=-1),
-        InputError, "tol must be positive and finite, got -1"),
+    # a tol that is not positive and finite once gave an "unphysical" valid state
     "density_check_with_a_nan_tol": (lambda: check_density(from_pure([1, 0]), tol=np.nan),
                                      InputError, "tol must be positive and finite, got nan"),
-    "containment_with_a_nan_tol": (
-        lambda: ball_containment(propagate(QUBIT, RATES, ControlField.constant([0.0, 0.0], 1.0),
-                                           from_pure([1, 0])), tol=np.nan),
-        InputError, "tol must be positive and finite, got nan"),
     # once numpy's "zero-size array to reduction operation maximum"
     "density_check_of_an_empty_stack": (lambda: check_density(np.empty((0, 2, 2))),
                                         InputError, "density matrix must be square and nonempty"),
@@ -118,11 +104,10 @@ REFUSALS = {
         InputError, "amplitudes must be real"),
     "complex_affine_generator": (lambda: AffineGenerator(a=1j * np.eye(3), b=np.zeros(3)),
                                  InputError, "a must be real"),
-    "complex_affine_embedding": (lambda: affine_embed((np.eye(3), [0.0, 1j, 0.0])),
-                                 InputError, "b must be real"),
+    "complex_affine_translation": (lambda: AffineGenerator(a=np.eye(3), b=[0.0, 1j, 0.0]),
+                                   InputError, "b must be real"),
     "split_of_a_complex_basis": (
-        lambda: decompose_inhomogeneous(LieBasis(elements=1j * np.ones((1, 3, 3)),
-                                                 ambient_dim=3)),
+        lambda: decompose_inhomogeneous(LieBasis(elements=1j * np.ones((1, 3, 3)))),
         InputError, "basis elements must be real"),
     "complex_field_value": (lambda: ControlField(segments=((1.0, (1j, 0.0)),)),
                             InputError, "field values must be real"),
@@ -139,6 +124,12 @@ REFUSALS = {
                            InputError, "trace_part must be real"),
     "complex_hbar": (lambda: ControlSystem(h0=np.eye(2), controls=(), hbar=1j),
                      InputError, "hbar must be real"),
+    # these two once raised an untyped TypeError, or returned a coupling
+    # with the moment at both (0, 1) and (1, 0), which is not Hermitian
+    "complex_qubit_energy": (lambda: qubit_system(0.0, 1j, 1.0, 1.0),
+                             InputError, "e2 must be real"),
+    "complex_dipole_moment": (lambda: dipole_coupling(3, 0, 1, 0.5j),
+                              InputError, "moment must be real"),
     # a bool is an int: this once failed with numpy's "shape mismatch"
     "sweep_of_a_bool_control": (
         lambda: steady_state_sweep(QUBIT, RATES, True, np.linspace(0.0, 1.0, 6)),
@@ -154,6 +145,23 @@ REFUSALS = {
     "field_of_a_two_dimensional_row": (
         lambda: ControlField(segments=((1.0, [[0.5, 0.0]]),)),
         InputError, "field values must be one row of amplitudes per segment"),
+    # each of these three once printed a RuntimeWarning on the way to its
+    # error: an overflow in the affine images, or in i H0 / hbar, and a
+    # dephasing rate that DissipationSpec stored as inf
+    "affine_images_that_overflow": (
+        lambda: affine_generator_set(QUBIT, DissipationSpec(
+            dephasing=np.zeros((2, 2)), relaxation=[[0.0, 1.7e308], [0.0, 0.0]])),
+        InputError, "generator pieces overflow: Hamiltonian or rates too large"),
+    "hamiltonian_algebra_that_overflows": (
+        lambda: hamiltonian_algebra(ControlSystem(h0=np.diag([-1.7e308, 1.0]), controls=(),
+                                                  hbar=0.65)),
+        InputError, "generators must be finite"),
+    "propagation_of_a_step_that_overflows": (
+        lambda: propagate(QUBIT, DissipationSpec(dephasing=[[0.0, 1.7e308], [1.7e308, 0.0]],
+                                                 relaxation=np.zeros((2, 2))),
+                          ControlField.constant([0.0, 0.0], 1.0), from_pure([1, 0]),
+                          sample_dt=1.0),
+        InputError, "segment 0: step 1 times 4 and the entry bound 1.7e+308 of G(f) overflows"),
     # once passed the overrun check and returned the whole field
     "propagation_for_a_nan_duration": (
         lambda: propagate(QUBIT, RATES, ControlField.constant([0.0, 0.0], 1.0),
