@@ -68,7 +68,7 @@ def lie_closure(generators):
     """
     mats = real_valued("generators", generators)
     if mats.ndim != 3 or not len(mats) or mats.shape[1] != mats.shape[2]:
-        raise ValueError("need one or more generators of a common square shape")
+        raise InputError("need one or more generators of a common square shape")
     if not np.isfinite(mats).all():
         raise InputError("generators must be finite")
     n = mats.shape[1]
@@ -146,7 +146,7 @@ def decompose_inhomogeneous(basis):
     if not np.isfinite(mats).all():
         raise InputError("basis elements must be finite")
     if np.abs(mats[:, n]).max(initial=0.0) > CLOSURE_TOL:
-        raise ValueError("affine embedding required: last rows must vanish")
+        raise InputError("affine embedding required: last rows must vanish")
     # an empty basis has no singular values, and so ranks (0, 0)
     s_hom = np.linalg.svd(mats[:, :n, :n].reshape(len(mats), n * n), compute_uv=False)
     s_trans = np.linalg.svd(mats[:, :n, n], compute_uv=False)

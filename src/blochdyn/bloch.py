@@ -29,7 +29,7 @@ class AffineGenerator:
         a = real_valued("a", self.a)
         b = real_valued("b", self.b).reshape(-1)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.size:
-            raise ValueError("A must be square with matching b")
+            raise InputError("A must be square with matching b")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -44,12 +44,12 @@ def to_affine(superop):
     superop = np.asarray(superop, dtype=complex)
     dim = int(round(np.sqrt(superop.shape[0])))
     if dim * dim != superop.shape[0]:
-        raise ValueError("superoperator size must be a perfect square")
+        raise InputError("superoperator size must be a perfect square")
     if not np.isfinite(superop).all():
         raise InputError("superoperator must be finite")
     if exceeds_scaled(trace_residual(superop), float(np.max(np.abs(superop))),
                       GENERATOR_TRACE_TOL):
-        raise ValueError("population not conserved: trace functional is not a left null vector")
+        raise InputError("population not conserved: trace functional is not a left null vector")
     m = _affine_images(superop[None])[0]
     return AffineGenerator(a=m[:-1, :-1], b=m[:-1, -1])
 
@@ -80,34 +80,17 @@ def quasi_spin_translation(spec):
     return to_affine(build_dissipator(spec)).b
 
 
-@dataclass(frozen=True)
-class ContainmentReport:
-    """Worst excursion of a trajectory outside the coherence-vector ball."""
-
-    ok: bool
-    worst_excess: float
-    worst_time: float
-    n_violations: int
-
-
 def ball_containment(traj):
-    """Check that every sample stays inside the ball of radius trace_part.
+    """True when every sample stays inside the ball of radius trace_part.
 
     For two levels this is the Bloch-ball condition |v| <= 1; for more
     levels positivity of each stored density matrix is checked instead,
     with -min eigenvalue from states._margins as the excess measure.
-    Excesses past PROPAGATION_TOL are violations, reported, not raised.
+    An excess past PROPAGATION_TOL, or a NaN one, is a violation, answered,
+    not raised.
     """
     if traj.dim == 2:
-        radius = traj.trace_part
-        excess = np.linalg.norm(traj.bloch, axis=1) - radius
+        excess = np.linalg.norm(traj.bloch, axis=1) - traj.trace_part
     else:
         excess = -_margins(traj.rho)[2]
-    worst = int(np.argmax(excess))
-    violations = int(np.sum(excess > PROPAGATION_TOL))
-    return ContainmentReport(
-        ok=violations == 0,
-        worst_excess=float(excess[worst]),
-        worst_time=float(traj.times[worst]),
-        n_violations=violations,
-    )
+    return bool((excess <= PROPAGATION_TOL).all())

@@ -15,6 +15,7 @@ converted with int() once the document is valid.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -125,6 +126,15 @@ def _finite_number(text):
     return value
 
 
+@contextmanager
+def _section(name):
+    """A ValueError raised inside, InputError included, is a ConfigError that names the section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (name, exc)) from exc
+
+
 def load_config(path):
     """Parse, schema-validate and lower a configuration file."""
     try:
@@ -157,29 +167,23 @@ def parse_config(doc):
     controls = []
     for i, dip in enumerate(sysdoc.get("dipoles", [])):
         j, k = map(int, dip["levels"])
-        try:
+        with _section("system.dipoles[%d]" % i):
             controls.append(
                 dipole_coupling(levels, j, k, dip["moment"], dip.get("axis", "x"))
             )
-        except ValueError as exc:
-            raise ConfigError("system.dipoles[%d]: %s" % (i, exc)) from exc
-    try:
+    with _section("system"):
         system = ControlSystem(
             h0=np.diag(np.asarray(energies, dtype=float)).astype(complex),
             controls=tuple(controls),
             hbar=float(sysdoc.get("hbar", 1.0)),
         )
-    except ValueError as exc:
-        raise ConfigError("system: %s" % exc) from exc
 
     dis = doc["dissipation"]
-    try:
+    with _section("dissipation"):
         spec = DissipationSpec(
             dephasing=np.asarray(dis["dephasing"], dtype=float),
             relaxation=np.asarray(dis["relaxation"], dtype=float),
         )
-    except ValueError as exc:
-        raise ConfigError("dissipation: %s" % exc) from exc
     if spec.dim != levels:
         raise ConfigError(
             "dissipation matrices are %dx%d but the system has %d levels"
@@ -187,13 +191,11 @@ def parse_config(doc):
         )
 
     flddoc = doc["field"]
-    try:
+    with _section("field"):
         field = ControlField(
             segments=tuple((s["duration"], s["values"]) for s in flddoc["segments"]),
             kind=flddoc.get("kind", "piecewise"),
         )
-    except ValueError as exc:
-        raise ConfigError("field: %s" % exc) from exc
     # finite numbers can still overflow the generator; found here, before
     # any stepping, and not as warnings and NaN states later
     gens = affine_generator_set(system, spec)
@@ -248,10 +250,8 @@ def _initial_state(doc, levels):
             raise ConfigError(
                 "initial.pure has %d amplitudes for %d levels" % (len(amps), levels)
             )
-        try:
+        with _section("initial.pure"):
             return from_pure(amps)
-        except ValueError as exc:
-            raise ConfigError("initial.pure: %s" % exc) from exc
     if "density" in doc:
         rho = _complex_matrix(doc["density"])
         if rho.shape != (levels, levels):
@@ -291,8 +291,3 @@ def template_text(name):
         .joinpath(name + ".json")
         .read_text()
     )
-
-
-def load_template(name):
-    """Parse a shipped template into a RunConfig."""
-    return parse_config(json.loads(template_text(name)))

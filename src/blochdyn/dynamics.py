@@ -69,12 +69,12 @@ def expm(m, t=1.0):
     """
     m = np.asarray(m)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
+        raise InputError("expected a square matrix or a stack of them")
     with np.errstate(over="ignore", invalid="ignore"):
         x = m.reshape((-1,) + m.shape[-2:]) * np.reshape(t, (-1, 1, 1))
         norm = np.abs(x).sum(axis=1).max(axis=1, initial=0.0)
     if not np.isfinite(norm).all():
-        raise ValueError("matrix exponential of non-finite input")
+        raise InputError("matrix exponential of non-finite input")
     s = np.ceil(np.log2(np.maximum(norm / TAYLOR_THETA[EXPM_MAX_DEGREE], 1.0)))
     if s.any():
         x *= 2.0 ** -s[:, None, None]
@@ -340,11 +340,6 @@ class SpectrumReport:
     forward_bounded: bool
     zero_modes: int
 
-    @property
-    def unbounded(self):
-        """True when some mode grows forward in time."""
-        return not self.forward_bounded
-
 
 def semigroup_spectrum(gen):
     """Spectrum of a generator matrix, a Liouville L or an affine part A, with stability flags.
@@ -375,18 +370,15 @@ def steady_state(sys, spec, f):
     """Fixed point of the affine flow for constant field amplitudes.
 
     Solves A v* = -b. A singular A means the fixed point is not unique
-    (pure rotations, vanishing rates) and is reported as an error carrying
+    (pure rotations, vanishing rates) and is reported as an error naming
     the null-space dimension. Amplitudes _admit refuses raise InputError.
     """
     gens = affine_generator_set(sys, spec)
     _admit(gens, [np.atleast_1d(f)], lambda k: "f")
     v, singular = _fixed_points(_combine(gens, f)[None])
     if singular is not None:
-        null_dim = singular[1]
         raise NonUniqueEquilibriumError(
-            "non-unique equilibrium: A has null space dimension %d" % null_dim,
-            null_dim=null_dim,
-        )
+            "non-unique equilibrium: A has null space dimension %d" % singular[1])
     return CoherenceVector(bloch=v[0], trace_part=1.0)
 
 
@@ -520,12 +512,9 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
     points, singular = _sweep_fixed_points(gens[0] + gens[-1], gens[control_index + 1],
                                            amplitudes)
     if singular is not None:
-        k, null_dim = singular
         raise NonUniqueEquilibriumError(
             "non-unique equilibrium at amplitude %.17g: A has null space dimension %d"
-            % (amplitudes[k], null_dim),
-            null_dim=null_dim,
-        )
+            % (amplitudes[singular[0]], singular[1]))
     dim = sys.dim
     # pure states sit at this coherence-vector norm; for two levels it is
     # the unit Bloch sphere

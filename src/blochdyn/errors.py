@@ -22,11 +22,7 @@ class PhysicsError(BlochdynError):
 
 
 class UnphysicalStateError(PhysicsError):
-    """A state failed Hermiticity, trace or positivity checks."""
-
-    def __init__(self, message, worst=None):
-        super().__init__(message)
-        self.worst = worst
+    """A state failed Hermiticity, trace or positivity checks; the message names the margins."""
 
 
 class SemigroupDomainError(PhysicsError):
@@ -34,11 +30,4 @@ class SemigroupDomainError(PhysicsError):
 
 
 class NonUniqueEquilibriumError(PhysicsError):
-    """The affine drift has a singular linear part, so no unique fixed point.
-
-    ``null_dim`` carries the dimension of the null space of A.
-    """
-
-    def __init__(self, message, null_dim):
-        super().__init__(message)
-        self.null_dim = null_dim
+    """A singular linear part A leaves no unique fixed point; the message names dim null(A)."""

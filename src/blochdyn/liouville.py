@@ -20,7 +20,7 @@ def vectorize(rho):
     """Row-stack a matrix into a vector."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise InputError("expected a square matrix")
     return rho.reshape(-1)
 
 
@@ -168,7 +168,7 @@ def support_overlap(controls, dissipator):
     dissipator = np.asarray(dissipator, dtype=complex)
     controls = np.asarray(controls, dtype=complex)
     if len(controls) and controls.shape[1:] != dissipator.shape:
-        raise ValueError("control and dissipator dimensions differ")
+        raise InputError("control and dissipator dimensions differ")
     # no controls reduce to a scalar False, which empties the overlap
     rows, cols = np.nonzero((dissipator != 0) & (controls != 0).any(axis=0))
     return tuple(sorted(zip(rows.tolist(), cols.tolist())))

@@ -19,9 +19,9 @@ from .tolerances import exceeds_scaled, real_valued
 def _check_hermitian(m, name):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
-        raise ValueError("%s must be a finite square matrix" % name)
+        raise InputError("%s must be a finite square matrix" % name)
     if exceeds_scaled(np.max(np.abs(m - m.conj().T)), np.max(np.abs(m))):
-        raise ValueError("%s must be Hermitian" % name)
+        raise InputError("%s must be Hermitian" % name)
     return m
 
 
@@ -40,10 +40,10 @@ class ControlSystem:
         )
         hbar = float(real_valued("hbar", self.hbar))
         if not 0 < hbar < np.inf:
-            raise ValueError("hbar must be positive and finite")
+            raise InputError("hbar must be positive and finite")
         for m, h in enumerate(controls):
             if h.shape != h0.shape:
-                raise ValueError("control %d dimension differs from h0" % m)
+                raise InputError("control %d dimension differs from h0" % m)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "hbar", hbar)
@@ -74,14 +74,14 @@ class DissipationSpec:
         g = real_valued("dephasing", self.dephasing)
         r = real_valued("relaxation", self.relaxation)
         if g.shape != r.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("rate matrices must be square and same shape")
+            raise InputError("rate matrices must be square and same shape")
         if not (np.all((g >= 0) & (g < np.inf)) and np.all((r >= 0) & (r < np.inf))):
-            raise ValueError("rates must be finite and nonnegative")
+            raise InputError("rates must be finite and nonnegative")
         if exceeds_scaled(np.max(np.abs(g - g.T)), np.max(np.abs(g))):
-            raise ValueError("dephasing matrix must be symmetric")
+            raise InputError("dephasing matrix must be symmetric")
         g = 0.5 * g + 0.5 * g.T  # halved first: g + g.T overflows past 8.9e307
         if np.any(np.diag(g) != 0) or np.any(np.diag(r) != 0):
-            raise ValueError("rate matrices must have zero diagonal")
+            raise InputError("rate matrices must have zero diagonal")
         object.__setattr__(self, "dephasing", g)
         object.__setattr__(self, "relaxation", r)
 
@@ -110,23 +110,23 @@ class ControlField:
 
     def __post_init__(self):
         if self.kind not in ("piecewise", "sampled"):
-            raise ValueError("kind must be 'piecewise' or 'sampled'")
+            raise InputError("kind must be 'piecewise' or 'sampled'")
         segs = []
         for dur, values in self.segments:
             dur = float(real_valued("segment durations", dur))
             values = np.atleast_1d(real_valued("field values", values))
             if not 0 < dur < np.inf:
-                raise ValueError("segment durations must be positive and finite")
+                raise InputError("segment durations must be positive and finite")
             if values.ndim != 1:
                 raise InputError("field values must be one row of amplitudes per segment")
             if not np.all(np.isfinite(values)):
-                raise ValueError("field values must be finite")
+                raise InputError("field values must be finite")
             segs.append((dur, values))
         if not segs:
-            raise ValueError("field needs at least one segment")
+            raise InputError("field needs at least one segment")
         widths = {v.size for _, v in segs}
         if len(widths) != 1:
-            raise ValueError("all segments must carry the same number of controls")
+            raise InputError("all segments must carry the same number of controls")
         object.__setattr__(self, "segments", tuple(segs))
 
     @property
@@ -138,23 +138,22 @@ class ControlField:
         return float(sum(d for d, _ in self.segments))
 
     @classmethod
-    def constant(cls, values, duration, kind="piecewise"):
-        return cls(segments=((duration, values),), kind=kind)
+    def constant(cls, values, duration):
+        return cls(segments=((duration, values),))
 
 
-def qubit_system(e1, e2, d1, d2, hbar=1.0):
+def qubit_system(e1, e2, d1, d2):
     """Two-level system with x- and y-type dipole controls.
 
-    H0 = diag(e1, e2), H1 = d1 sigma_x, H2 = d2 sigma_y, all real. Levels
-    must be ordered e1 < e2.
+    H0 = diag(e1, e2), H1 = d1 sigma_x, H2 = d2 sigma_y, all real, with
+    hbar = 1. Levels must be ordered e1 < e2.
     """
     e1, e2 = float(real_valued("e1", e1)), float(real_valued("e2", e2))
     if e1 >= e2:
-        raise ValueError("levels not ordered: need e1 < e2")
+        raise InputError("levels not ordered: need e1 < e2")
     return ControlSystem(h0=np.diag([e1, e2]).astype(complex),
                          controls=(dipole_coupling(2, 0, 1, d1, "x"),
-                                   dipole_coupling(2, 0, 1, d2, "y")),
-                         hbar=hbar)
+                                   dipole_coupling(2, 0, 1, d2, "y")))
 
 
 def dipole_coupling(dim, j, k, moment, axis="x"):
@@ -164,7 +163,7 @@ def dipole_coupling(dim, j, k, moment, axis="x"):
     """
     moment = float(real_valued("moment", moment))
     if not (0 <= j < dim and 0 <= k < dim) or j == k:
-        raise ValueError("coupling needs two distinct levels inside the system")
+        raise InputError("coupling needs two distinct levels inside the system")
     h = np.zeros((dim, dim), dtype=complex)
     if axis == "x":
         h[j, k] = moment
@@ -173,6 +172,6 @@ def dipole_coupling(dim, j, k, moment, axis="x"):
         h[j, k] = -1j * moment
         h[k, j] = 1j * moment
     else:
-        raise ValueError("axis must be 'x' or 'y'")
+        raise InputError("axis must be 'x' or 'y'")
     return h
 

@@ -38,7 +38,7 @@ class CoherenceVector:
         n2 = self.bloch.size + 1
         dim = int(round(np.sqrt(n2)))
         if dim * dim != n2:
-            raise ValueError("bloch length must be N**2 - 1 for integer N")
+            raise InputError("bloch length must be N**2 - 1 for integer N")
         object.__setattr__(self, "dim", dim)
 
 
@@ -51,7 +51,7 @@ def gell_mann_basis(dim):
     (sigma_x, sigma_y, sigma_z).
     """
     if dim < 2:
-        raise ValueError("dimension must be at least 2")
+        raise InputError("dimension must be at least 2")
     mats = []
     for j in range(dim):
         for k in range(j + 1, dim):
@@ -168,10 +168,8 @@ def check_density(rho, tol=VALIDITY_TOL, times=None):
     rho is one N x N matrix or a nonempty stack of them, checked together
     by _margins. tol, positive and finite, bounds Hermiticity and
     positivity; the trace offset |Re tr - 1| + |Im tr| always holds to
-    STATE_TRACE_TOL. Returns the worst margins over the stack; raises
-    UnphysicalStateError for the first failing matrix. times, when given,
-    labels the stack: the error then names that matrix's time and carries it
-    as worst["t"].
+    STATE_TRACE_TOL. Raises UnphysicalStateError naming the margins of the
+    first failing matrix, and its time when times labels the stack.
     """
     positive_finite("tol", tol)
     rho = np.asarray(rho, dtype=complex)
@@ -181,29 +179,30 @@ def check_density(rho, tol=VALIDITY_TOL, times=None):
     ok = (herm <= tol) & (trace <= STATE_TRACE_TOL) & (mineig >= -tol)
     if not ok.all():
         i = int(np.argmin(ok))
-        worst = {"hermiticity": float(herm[i]), "trace": float(trace[i]),
-                 "min_eigenvalue": float(mineig[i])}
         margins = "hermiticity %.3g, trace offset %.3g, min eigenvalue %.3g" % (
-            worst["hermiticity"], worst["trace"], worst["min_eigenvalue"])
+            herm[i], trace[i], mineig[i])
         if times is None:
-            raise UnphysicalStateError(
-                "unphysical state: %s (tol %.3g)" % (margins, tol), worst=worst)
-        worst = {"t": float(times[i]), **worst}
+            raise UnphysicalStateError("unphysical state: %s (tol %.3g)" % (margins, tol))
         raise UnphysicalStateError(
-            "state left the physical set at t=%.6g: %s" % (worst["t"], margins), worst=worst)
-    return {"hermiticity": float(np.max(herm)), "trace": float(np.max(trace)),
-            "min_eigenvalue": float(np.min(mineig))}
+            "state left the physical set at t=%.6g: %s" % (times[i], margins))
 
 
 def from_pure(amplitudes):
-    """Density matrix of the normalized superposition with given finite amplitudes."""
-    c = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    """Density matrix of the normalized superposition with given finite amplitudes.
+
+    The amplitudes are first scaled by the power of two at their largest real
+    or imaginary part, which is exact, so that no finite amplitude vector
+    overflows or underflows on the way to its norm.
+    """
+    c = np.array(amplitudes, dtype=complex).reshape(-1)
     if not np.isfinite(c).all():
         raise InputError("pure-state amplitudes must be finite")
-    nrm = np.linalg.norm(c)
-    if nrm == 0.0:
-        raise ValueError("degenerate state: zero amplitude vector")
-    c = c / nrm
+    parts = c.view(float)
+    top = np.abs(parts).max(initial=0.0)
+    if top == 0.0:
+        raise InputError("degenerate state: zero amplitude vector")
+    np.ldexp(parts, -np.frexp(top)[1], out=parts)
+    c = c / np.linalg.norm(c)
     return np.outer(c, c.conj())
 
 
@@ -223,10 +222,10 @@ def from_coherence_vector(v):
 
     check_density raises UnphysicalStateError unless trace_part is 1 and rho
     is positive (for N = 2: the vector stays inside the Bloch ball), as for
-    every state. Non-finite coordinates raise ValueError.
+    every state. Non-finite coordinates raise InputError.
     """
     if not (np.all(np.isfinite(v.bloch)) and np.isfinite(v.trace_part)):
-        raise ValueError("coherence vector has non-finite coordinates")
+        raise InputError("coherence vector has non-finite coordinates")
     rho = density_from_coordinates(np.append(v.bloch, v.trace_part), v.dim)
     check_density(rho)
     return rho

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from blochdyn.cli import main
-from blochdyn.config import load_template, template_text
+from blochdyn.config import template_text
 from blochdyn.dynamics import propagate, steady_state, steady_state_sweep
 from blochdyn.errors import InputError
 from blochdyn.liouville import total_generator
+from test_cli import load_template
 
 # the defect, the bad amplitude row on the two-control quasi_spin_qubit, and
 # the reason the message gives for it. Both overflowing amplitudes are needed

@@ -18,6 +18,7 @@ from blochdyn.liouville import (
 )
 from blochdyn.model import ControlField, DissipationSpec, qubit_system
 from blochdyn.states import from_pure, gell_mann_basis, to_coherence_vector
+from blochdyn.tolerances import PROPAGATION_TOL
 
 
 def expected_qubit_affine(omega, d1, d2, big_gamma, g12, g21, f1, f2, hbar=1.0):
@@ -128,30 +129,37 @@ def test_ball_containment_accepts_physical_trajectory():
     sys, spec = make_qubit(big_gamma=0.35, g12=0.2, g21=0.08)
     field = ControlField(segments=((2.0, (0.5, 0.0)), (3.0, (-0.3, 0.4))))
     traj = propagate(sys, spec, field, from_pure([1, 0]), sample_dt=0.05)
-    report = ball_containment(traj)
-    assert report.ok
-    assert report.n_violations == 0
-    assert report.worst_excess <= 0.0 + 1e-12
+    assert ball_containment(traj) is True
+    assert np.max(np.linalg.norm(traj.bloch, axis=1) - traj.trace_part) <= 1e-12
+
+
+def qubit_path(z):
+    """Two-sample qubit trajectory whose second sample sits at v = (0, 0, z)."""
+    rho = np.stack([np.diag([0.95, 0.05]), np.diag([(1 + z) / 2, (1 - z) / 2])]).astype(complex)
+    return Trajectory(times=np.array([0.0, 1.0]), rho=rho,
+                      bloch=np.array([[0.0, 0.0, 0.9], [0.0, 0.0, z]]),
+                      trace_part=np.array([1.0, 1.0]))
 
 
 def test_ball_containment_flags_expansion():
     # Hand-built trajectory whose second sample sits outside the unit ball.
-    times = np.array([0.0, 1.0])
-    bloch = np.array([[0.0, 0.0, 0.9], [0.0, 0.0, 1.2]])
-    rho = np.stack(
-        [
-            np.diag([0.95, 0.05]).astype(complex),
-            np.diag([1.1, -0.1]).astype(complex),
-        ]
-    )
-    traj = Trajectory(
-        times=times, rho=rho, bloch=bloch, trace_part=np.array([1.0, 1.0])
-    )
-    report = ball_containment(traj)
-    assert not report.ok
-    assert report.n_violations == 1
-    assert report.worst_time == pytest.approx(1.0)
-    assert report.worst_excess == pytest.approx(0.2, abs=1e-12)
+    traj = qubit_path(1.2)
+    assert ball_containment(traj) is False
+    excess = np.linalg.norm(traj.bloch, axis=1) - traj.trace_part
+    assert excess[0] < 0 and excess[1] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_ball_containment_judges_the_excess_at_propagation_tol():
+    assert ball_containment(qubit_path(1.0 + PROPAGATION_TOL / 2)) is True
+    assert ball_containment(qubit_path(1.0 + 2 * PROPAGATION_TOL)) is False
+
+
+def test_ball_containment_counts_a_nan_sample_as_outside():
+    # a NaN excess once compared False with the tolerance and read as inside
+    assert ball_containment(qubit_path(np.nan)) is False
+    nan3 = Trajectory(times=np.array([0.0]), rho=np.full((1, 3, 3), np.nan, dtype=complex),
+                      bloch=np.full((1, 8), np.nan), trace_part=np.array([1.0]))
+    assert ball_containment(nan3) is False
 
 
 def test_ball_containment_three_levels_uses_positivity():
@@ -167,7 +175,7 @@ def test_ball_containment_three_levels_uses_positivity():
         bloch=v.bloch[None, :],
         trace_part=np.array([1.0]),
     )
-    assert ball_containment(traj).ok
+    assert ball_containment(traj) is True
     rho_bad = (q * np.array([0.7, 0.5, -0.2])) @ q.conj().T
     vb = to_coherence_vector(rho_bad)
     bad = Trajectory(
@@ -176,6 +184,5 @@ def test_ball_containment_three_levels_uses_positivity():
         bloch=vb.bloch[None, :],
         trace_part=np.array([1.0]),
     )
-    report = ball_containment(bad)
-    assert not report.ok
-    assert report.worst_excess == pytest.approx(0.2, abs=1e-12)
+    assert ball_containment(bad) is False
+    assert -np.linalg.eigvalsh(rho_bad)[0] == pytest.approx(0.2, abs=1e-12)

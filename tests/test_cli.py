@@ -17,7 +17,6 @@ from blochdyn.cli import _write_table, main
 from blochdyn.config import (
     _schema_errors,
     load_config,
-    load_template,
     parse_config,
     template_names,
     template_text,
@@ -314,9 +313,28 @@ def test_load_config_reports_json_position(tmp_path):
         load_config(str(path))
 
 
+def load_template(name):
+    """A shipped template lowered onto a RunConfig, as --config reads the template's text."""
+    return parse_config(json.loads(template_text(name)))
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/nowhere.json")
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_simulate_takes_pure_amplitudes_whose_norm_overflows_or_underflows(tmp_path, scale):
+    # the norm of (s, s) once overflowed to a zero state (exit 3, "trace
+    # offset 1") or underflowed to zero (exit 2, "zero amplitude vector")
+    doc = json.loads(template_text("driven_qubit"))
+    tables = []
+    for s in (scale, 1.0):
+        doc["initial"] = {"pure": [[s, 0.0], [s, 0.0]]}
+        out = tmp_path / ("%g.csv" % s)
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_templates_ship_and_parse():
@@ -878,7 +896,7 @@ def _complex_rows(m):
 def test_config_error_branches_exit_2(tmp_path, capsys, monkeypatch, args, initial):
     if args[0] == "template":
         # a name the parser offers but the package does not ship reaches
-        # template_text's own check, which load_template shares
+        # template_text's own check
         monkeypatch.setattr(cli, "template_names", lambda: template_names() + ["retired"])
         argv = args
     else:

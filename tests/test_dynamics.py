@@ -6,6 +6,7 @@ while the longitudinal component relaxes exponentially to the pumping
 balance point.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from blochdyn import algebra, dynamics, liouville
 from blochdyn.algebra import affine_generator_set
 from blochdyn.bloch import ball_containment, to_affine
-from blochdyn.config import load_template
 from blochdyn.dynamics import (
     Trajectory,
     _taylor,
@@ -41,6 +41,7 @@ from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_s
 from blochdyn.states import (CoherenceVector, from_coherence_vector, from_pure,
                              to_coherence_vector)
 from blochdyn.tolerances import CONIC_FIT_TOL, GRID_STEP_SLACK, PROPAGATION_TOL, TAYLOR_THETA
+from test_cli import load_template
 from test_propagation_properties import admissible_system
 
 OMEGA = 1.4
@@ -733,7 +734,7 @@ def test_failing_sample_is_judged_by_its_eigenvalues(monkeypatch):
         propagate(sys, spec, ControlField(segments=((2.0, ()),)), from_pure([1, 1, 1]),
                   sample_dt=1e-3)
     assert calls
-    assert err.value.worst["min_eigenvalue"] < -PROPAGATION_TOL
+    assert float(str(err.value).rsplit("min eigenvalue ", 1)[1]) < -PROPAGATION_TOL
 
 
 def test_unitary_rabi_flop():
@@ -765,8 +766,8 @@ def test_validity_failure_mid_trajectory(kind):
     field = ControlField(segments=((3.0, (0.0, 0.0)),), kind=kind)
     with pytest.raises(UnphysicalStateError, match="left the physical set at t=") as err:
         propagate(sys, spec, field, rho0, sample_dt=0.05)
-    worst = err.value.worst
-    assert set(worst) == {"t", "hermiticity", "trace", "min_eigenvalue"}
+    named = re.fullmatch(r"state left the physical set at t=(\S+): hermiticity \S+, "
+                         r"trace offset \S+, min eigenvalue (\S+)", str(err.value))
     # first grid time at which an independent exponential goes negative
     gen = total_generator(sys, spec, (0.0, 0.0))
     grid = 0.05 * np.arange(1, 61)
@@ -774,8 +775,8 @@ def test_validity_failure_mid_trajectory(kind):
                for t in grid]
     first = int(np.argmax(np.array(mineigs) < -1e-7))
     assert first > 0
-    assert worst["t"] == pytest.approx(grid[first], abs=1e-12)
-    assert worst["min_eigenvalue"] < -1e-7
+    assert named[1] == "%.6g" % grid[first]
+    assert float(named[2]) < -1e-7
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -822,7 +823,6 @@ def test_negated_dissipator_flagged_unbounded():
     _, spec = make_qubit()
     report = semigroup_spectrum(-build_dissipator(spec))
     assert not report.forward_bounded
-    assert report.unbounded
     assert report.max_real_part == pytest.approx(max(BIG_GAMMA, G12 + G21), abs=1e-12)
 
 
@@ -841,7 +841,7 @@ def test_spectrum_flags_scale_with_the_generator(scale):
     assert report.forward_bounded
     assert report.zero_modes == 1
     assert semigroup_spectrum(to_affine(gen).a).zero_modes == 0
-    assert semigroup_spectrum(-gen).unbounded
+    assert not semigroup_spectrum(-gen).forward_bounded
 
 
 def test_spectrum_accepts_affine_generator():
@@ -870,9 +870,8 @@ def test_backward_time_leaves_the_ball():
         bloch=np.array([v.bloch for v in vecs]),
         trace_part=np.array([v.trace_part for v in vecs]),
     )
-    report = ball_containment(traj)
-    assert not report.ok
-    assert report.worst_excess > 0.1
+    assert ball_containment(traj) is False
+    assert np.max(np.linalg.norm(traj.bloch, axis=1) - traj.trace_part) > 0.1
 
 
 def test_steady_state_zero_field_closed_form():
@@ -892,9 +891,8 @@ def test_steady_state_is_fixed_point_of_flow():
 
 def test_steady_state_requires_unique_equilibrium():
     sys, _ = make_qubit()
-    with pytest.raises(NonUniqueEquilibriumError) as err:
+    with pytest.raises(NonUniqueEquilibriumError, match="A has null space dimension 1$"):
         steady_state(sys, DissipationSpec.zero(2), (0.0, 0.0))
-    assert err.value.null_dim >= 1
 
 
 def test_sweep_produces_ellipse():
@@ -962,9 +960,9 @@ def test_sweep_points_match_per_point_steady_state():
 def test_sweep_singular_point_raises_with_amplitude():
     sys, _ = make_qubit()
     amps = [0.25, -1.0, -0.5, 0.0, 0.5, 1.0]
-    with pytest.raises(NonUniqueEquilibriumError, match="amplitude 0.25:") as err:
+    with pytest.raises(NonUniqueEquilibriumError,
+                       match="amplitude 0.25: A has null space dimension 1$"):
         steady_state_sweep(sys, DissipationSpec.zero(2), 0, amps)
-    assert err.value.null_dim >= 1
 
 
 def test_sweep_validation():

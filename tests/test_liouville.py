@@ -151,7 +151,8 @@ def test_qubit_superoperators_refuse_an_overflowing_h0():
 
 
 def test_total_generator_hbar():
-    sys = qubit_system(0.0, 1.0, d1=1.0, d2=1.0, hbar=3.0)
+    qubit = qubit_system(0.0, 1.0, d1=1.0, d2=1.0)
+    sys = ControlSystem(h0=qubit.h0, controls=qubit.controls, hbar=3.0)
     spec = DissipationSpec.zero(2)
     gen = total_generator(sys, spec, (0.0, 0.0))
     ref = commutator_superop(sys.h0, hbar=3.0)

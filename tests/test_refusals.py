@@ -4,7 +4,9 @@ Every row of REFUSALS is a call that an earlier guard does not catch first,
 so the row reaches the check it names.
 """
 
+import ast
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,12 +34,12 @@ JX = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 JY = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 REFUSALS = {
     "control_shape": (lambda: ControlSystem(h0=np.eye(2), controls=(np.eye(3),)),
-                      ValueError, "control 0 dimension differs from h0"),
+                      InputError, "control 0 dimension differs from h0"),
     "nan_field_value": (lambda: ControlField(segments=((1.0, (np.nan, 0.0)),)),
-                        ValueError, "field values must be finite"),
+                        InputError, "field values must be finite"),
     "no_segments": (lambda: ControlField(segments=()),
-                    ValueError, "field needs at least one segment"),
-    "one_level_basis": (lambda: gell_mann_basis(1), ValueError, "dimension must be at least 2"),
+                    InputError, "field needs at least one segment"),
+    "one_level_basis": (lambda: gell_mann_basis(1), InputError, "dimension must be at least 2"),
     "non_square_density": (lambda: check_density(np.ones((2, 3))),
                            InputError, "density matrix must be square"),
     "state_of_other_dimension": (
@@ -45,16 +47,16 @@ REFUSALS = {
                           ControlField(segments=((1.0, (0.0, 0.0)),)), np.eye(3) / 3),
         InputError, "system, dissipation and state dimensions differ"),
     "vectorize_non_square": (lambda: vectorize(np.ones((2, 3))),
-                             ValueError, "expected a square matrix"),
+                             InputError, "expected a square matrix"),
     "qubit_superoperators_of_three_levels": (
         lambda: qubit_superoperators(LADDER, DissipationSpec.zero(3)),
-        ValueError, "explicit superoperators are defined for two levels"),
+        InputError, "explicit superoperators are defined for two levels"),
     "overlap_of_other_dimensions": (lambda: support_overlap([np.ones((4, 4))], np.ones((9, 9))),
-                                    ValueError, "control and dissipator dimensions differ"),
+                                    InputError, "control and dissipator dimensions differ"),
     "affine_b_of_other_length": (lambda: AffineGenerator(a=np.eye(2), b=np.ones(3)),
-                                 ValueError, "A must be square with matching b"),
+                                 InputError, "A must be square with matching b"),
     "superoperator_non_square_size": (lambda: to_affine(np.ones((5, 5))),
-                                      ValueError, "superoperator size must be a perfect square"),
+                                      InputError, "superoperator size must be a perfect square"),
     # each of these four once gave an answer (a zero algebra, an all-NaN A)
     # or numpy's LinAlgError
     "closure_of_an_infinite_generator": (lambda: lie_closure([[[0.0, np.inf], [0.0, 0.0]]]),
@@ -75,11 +77,11 @@ REFUSALS = {
     # once returned None: the certificate proved the empty stack physical
     "certified_check_of_an_empty_stack": (lambda: _require_density(np.empty((0, 3, 3))),
                                           InputError, "density matrix must be square and nonempty"),
-    "exponential_of_a_non_square_matrix": (lambda: expm(np.ones((2, 3))), ValueError,
+    "exponential_of_a_non_square_matrix": (lambda: expm(np.ones((2, 3))), InputError,
                                            "expected a square matrix or a stack of them"),
-    "exponential_of_a_vector": (lambda: expm(np.ones(4)), ValueError,
+    "exponential_of_a_vector": (lambda: expm(np.ones(4)), InputError,
                                 "expected a square matrix or a stack of them"),
-    "exponential_of_a_non_square_stack": (lambda: expm(np.ones((2, 2, 3))), ValueError,
+    "exponential_of_a_non_square_stack": (lambda: expm(np.ones((2, 2, 3))), InputError,
                                           "expected a square matrix or a stack of them"),
     # passed the range check and then failed with an IndexError
     "sweep_of_a_fractional_control": (
@@ -176,6 +178,18 @@ def test_refused_call_raises_its_error_with_its_message(case):
     with pytest.raises(error) as err:
         call()
     assert fragment in str(err.value)
+
+
+def test_the_package_refuses_with_input_error_never_a_bare_value_error():
+    # InputError is the ValueError that the CLI reads as a config error (exit 2)
+    bare = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "blochdyn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                bare.append("%s:%d" % (path.name, node.lineno))
+    assert bare == []
 
 
 def test_all_zero_pure_state_is_a_config_error(tmp_path, capsys):

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from blochdyn import dynamics
 from blochdyn.algebra import affine_generator_set
-from blochdyn.config import load_template
 from blochdyn.model import DissipationSpec
 from blochdyn.tolerances import CONIC_FIT_TOL, SINGULAR_RATIO, SWEEP_ANCHOR_STRIDE
+from test_cli import load_template
 from test_propagation_properties import admissible_system
 
 PROPERTIES = settings(derandomize=True, max_examples=200, deadline=None)
