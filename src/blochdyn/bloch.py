@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .liouville import _finite_pieces, build_dissipator, trace_residual
-from .states import _extraction_maps, _margins
+from .states import _extraction_maps, _min_eigenvalues
 from .tolerances import GENERATOR_TRACE_TOL, PROPAGATION_TOL, exceeds_scaled, real_valued
 
 
@@ -85,12 +85,12 @@ def ball_containment(traj):
 
     For two levels this is the Bloch-ball condition |v| <= 1; for more
     levels positivity of each stored density matrix is checked instead,
-    with -min eigenvalue from states._margins as the excess measure.
+    with -min eigenvalue from states._min_eigenvalues as the excess measure.
     An excess past PROPAGATION_TOL, or a NaN one, is a violation, answered,
     not raised.
     """
     if traj.dim == 2:
         excess = np.linalg.norm(traj.bloch, axis=1) - traj.trace_part
     else:
-        excess = -_margins(traj.rho)[2]
+        excess = -_min_eigenvalues(traj.rho)
     return bool((excess <= PROPAGATION_TOL).all())

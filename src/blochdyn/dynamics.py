@@ -20,12 +20,12 @@ t0 + k h, with every segment end exact. exp(G t) itself is formed by scaling
 and squaring the same Taylor polynomial (Higham 2005), so numpy is the only
 dependency.
 Forward time is enforced; amplitude rows that liouville._admit refuses,
-Hamiltonian phases too large to keep digits, grids too large to hold, steps
-whose norm(G h, 1) could overflow and RK4 steps past their stability bound
-are refused (InputError) before the first step, and every sample passes one
-validity check: states._certified proves the stack physical without
-eigenvalues, and a stack it leaves unproven goes to check_density, which
-decides and names the first failure.
+segments whose phase, the duration times the entry bound of all of G(f), is
+too large to keep digits, grids too large to hold and RK4 steps past their
+stability bound are refused (InputError) before the first step, and every
+sample passes check_density, the one validity check: a Cholesky proof
+clears a physical stack without eigenvalues, and eigenvalues decide the
+rest and name the first failure.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -44,7 +44,7 @@ import numpy as np
 from .algebra import affine_generator_set
 from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import _admit, _combine
-from .states import (CoherenceVector, _require_density, density_from_coordinates,
+from .states import (CoherenceVector, check_density, density_from_coordinates,
                      to_coherence_vector)
 from .tolerances import (CONIC_DISCRIMINANT_TOL, CONIC_FIT_TOL, DEGENERATE_CONIC_TOL,
                          EXPM_MAX_DEGREE, GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES,
@@ -153,32 +153,30 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     least-degree Taylor polynomial to u step by step instead. Zero dissipation
     gives unitary evolution. Every sample is checked for validity; the trace
     must hold to STATE_TRACE_TOL and Hermiticity and positivity to
-    validity_tol, which must be positive and finite. The samples are checked
-    together once computed, first by a Cholesky certificate that needs no
-    eigenvalues; when it proves nothing, check_density decides and its error
-    names the first failing sample. Before the first step, InputError (a
-    ValueError) refuses a segment whose amplitudes _admit refuses or whose
-    Hamiltonian phase, its duration times the largest entry bound of
-    A0 + sum_m f_m A_m (the dissipator left out), passes MAX_PHASE; a
-    sample_dt not positive and finite or whose grid passes MAX_SAMPLE_BYTES;
-    a step h for which N^2 h times the entry bound of G(f) overflows; and,
-    for sampled fields, a segment whose RK4 step passes RK4_STEP_BOUND.
+    validity_tol, which must be positive and finite. check_density checks
+    the samples together once computed, and its error names the first
+    failing sample. Before the first step, InputError (a ValueError)
+    refuses a segment whose amplitudes _admit refuses or whose phase, its
+    duration times _admit's bound on every entry of G(f), dissipator
+    included, passes MAX_PHASE; a sample_dt not positive and finite or whose
+    grid passes MAX_SAMPLE_BYTES; and, for sampled fields, a segment whose
+    RK4 step passes RK4_STEP_BOUND. The phase bound keeps norm(G h, 1) <=
+    N^2 MAX_PHASE, so exp(G h) never overflows.
     """
     positive_finite("validity_tol", validity_tol)
     if sample_dt is not None:
         positive_finite("sample_dt", sample_dt)
     rho0 = np.asarray(rho0, dtype=complex)
-    _require_density(rho0)
+    check_density(rho0)
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
         raise InputError("system, dissipation and state dimensions differ")
     durations, rows = _effective_segments(field, duration)
     gens = np.array(affine_generator_set(sys, spec))
-    ham = _admit(gens, rows, lambda k: "segment %d" % k)
-    with np.errstate(over="ignore"):
-        phase = durations * ham
+    with np.errstate(over="ignore"):  # a phase that overflows is refused as inf
+        phase = durations * _admit(gens, rows, lambda k: "segment %d" % k)
     if (phase > MAX_PHASE).any():
         k = (phase > MAX_PHASE).argmax()
-        raise InputError("segment %d: Hamiltonian phase %.3g passes the %g bound, past which "
+        raise InputError("segment %d: generator phase %.3g passes the %g bound, past which "
                          "exp(G t) keeps too few digits" % (k, phase[k], MAX_PHASE))
     if sample_dt is None:
         # one generator at a time: a list of all K would hold K N^4 entries
@@ -193,13 +191,6 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
                                           MAX_SAMPLE_BYTES >> 20))
     count, order = len(durations), sys.dim ** 2
     h = durations / steps
-    bound = ham + np.abs(gens[-1]).max()  # on every entry of G(f), finite by _admit
-    with np.errstate(over="ignore"):  # expm needs norm(G h, 1) <= N^2 h bound finite
-        finite = np.isfinite(order * h * bound)
-    if not finite.all():
-        k = finite.argmin()
-        raise InputError("segment %d: step %.3g times %d and the entry bound %.3g of G(f) "
-                         "overflows, so exp(G h) cannot be formed" % (k, h[k], order, bound[k]))
     if field.kind == "sampled" and count:
         _check_rk4_steps(gens, rows, h)
     weights = np.pad(rows, ((0, 0), (1, 1)), constant_values=1.0)  # rows (1, f_k, 1)
@@ -225,7 +216,7 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     rhos = density_from_coordinates(us, sys.dim)
     rhos[0] = rho0  # the state as given, not its rebuild from u
     if len(times) > 1:
-        _require_density(rhos[1:], validity_tol, times=times[1:])
+        check_density(rhos[1:], validity_tol, times=times[1:])
     return Trajectory(times=times, rho=rhos, bloch=us[:, :-1], trace_part=us[:, -1])
 
 
@@ -243,10 +234,9 @@ def _step_block(us, g, h, steps, piecewise):
     g = g.reshape(-1, order, order)
     degrees, formed = [0] * len(g), slice(None)  # degree 0: the segment forms p
     if order > STEP_BATCH_MAX_ORDER:
-        # the least degree whose bound covers h norm(G, 1), 0 past the last;
         # held samples take classical RK4 under the frozen G, T_4(hG) exactly
-        least = (_DEGREES[np.searchsorted(_THETAS, h * np.abs(g).sum(axis=1).max(axis=1))]
-                 .tolist() if piecewise else [4] * len(g))
+        least = (_taylor_degree(h * np.abs(g).sum(axis=1).max(axis=1)).tolist() if piecewise
+                 else [4] * len(g))
         degrees = [d if n <= 2 else 0 for n, d in zip(steps, least)]
         formed = [k for k, d in enumerate(degrees) if not d]
     if formed:  # a slice, or a list that may be empty
@@ -327,8 +317,8 @@ _DEGREES = np.array(list(TAYLOR_THETA) + [0])  # indexed by np.searchsorted(_THE
 
 
 def _taylor_degree(x):
-    """Least degree m whose TAYLOR_THETA[m] covers x = t norm(G, 1), or None past the table."""
-    return int(_DEGREES[np.searchsorted(_THETAS, x)]) or None
+    """Least degree m whose TAYLOR_THETA[m] covers x = t norm(G, 1), entrywise; 0 past the table."""
+    return _DEGREES[np.searchsorted(_THETAS, x)]
 
 
 @dataclass(frozen=True)

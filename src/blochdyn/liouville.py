@@ -107,14 +107,14 @@ def _combine(pieces, f):
 
 
 def _admit(pieces, rows, name):
-    """Entry bounds of the Hamiltonian parts of _combine(pieces, f), one per amplitude row f.
+    """Entry bounds of _combine(pieces, f), one per amplitude row f.
 
     Every caller runs this before it weights the stack. The bound for a row
-    is max|pieces[0]| + sum_m |f_m| max|pieces[m]|, and adding max|pieces[-1]|
-    bounds every entry of the whole, so one product per call serves the
-    overflow check here and the phase check in propagate. InputError refuses
-    the first row with other than len(pieces) - 2 amplitudes, a complex or
-    non-finite amplitude, or a bound that overflows, named by name(k) for row k.
+    is max|pieces[0]| + sum_m |f_m| max|pieces[m]| + max|pieces[-1]|, so one
+    product per call serves the overflow check here and the phase check in
+    propagate. InputError refuses the first row with other than
+    len(pieces) - 2 amplitudes, a complex or non-finite amplitude, or a
+    bound that overflows, named by name(k) for row k.
     """
     pieces = np.asarray(pieces)
     width = len(pieces) - 2
@@ -128,14 +128,14 @@ def _admit(pieces, rows, name):
     scale = np.abs(pieces).max(axis=(1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         # a non-finite amplitude makes its bound inf or NaN, against a zero piece too
-        ham = (np.abs(rows) * scale[1:-1]).sum(axis=1) + scale[0]
-        ok = np.isfinite(ham + scale[-1])
+        bound = (np.abs(rows) * scale[1:-1]).sum(axis=1) + scale[0] + scale[-1]
+        ok = np.isfinite(bound)
     if not ok.all():
         k = int(ok.argmin())
         raise InputError("%s: field amplitudes %s" % (name(k), "overflow the generator"
                                                       if np.isfinite(rows[k]).all()
                                                       else "must be finite"))
-    return ham
+    return bound
 
 
 def total_generator(sys, spec, f):

@@ -10,6 +10,7 @@ is the usual Bloch vector (x, y, z) = (rho_12 + rho_21, i(rho_12 - rho_21),
 rho_11 - rho_22).
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,63 +120,48 @@ def _offsets(stack):
     return herm, np.abs(tr.real - 1.0) + np.abs(tr.imag)
 
 
-def _margins(stack):
-    """_offsets plus the min eigenvalue per matrix, from one batched eigvalsh over the stack."""
+def _min_eigenvalues(stack):
+    """Least eigenvalue per matrix of the stack, by one batched eigvalsh of its Hermitian part."""
     # eigvalsh assumes Hermiticity; symmetrize first so the PSD number is
     # meaningful even when the Hermiticity check is about to fail
     sym = 0.5 * (stack + stack.conj().swapaxes(1, 2))
-    # LAPACK may fail on non-finite input; such matrices get NaN margins,
-    # and the comparisons of check_density are written so that NaN fails
+    # LAPACK may fail on non-finite input; such matrices get NaN, and the
+    # comparisons of check_density are written so that NaN fails
     finite = np.isfinite(sym).all(axis=(1, 2))
     sym[~finite] = 0.0
-    return *_offsets(stack), np.where(finite, np.linalg.eigvalsh(sym)[:, 0], np.nan)
-
-
-def _certified(stack, tol):
-    """True when the stack, shape (K, N, N), is proven to pass check_density(stack, tol).
-
-    Hermiticity and trace come from _offsets, as in check_density. The
-    Hermitian matrix read from the lower triangle lies within
-    r = (N - 1) herm / 2 of the symmetrized one in the 2-norm, so one batched
-    Cholesky factorization of it plus (tau - r) I, tau = tol
-    (1 - CERTIFICATE_SLACK), proves check_density's margin >= -tol up to
-    rounding, at every N; it raises for the whole stack if one factor fails.
-    False proves nothing; check_density decides.
-    """
-    herm, trace = _offsets(stack)
-    if not (stack.size and (herm <= tol).all() and (trace <= STATE_TRACE_TOL).all()):
-        return False
-    n = stack.shape[-1]
-    try:
-        np.linalg.cholesky(stack + (tol * (1.0 - CERTIFICATE_SLACK)
-                                    - (n - 1) * herm.max(initial=0.0) / 2) * np.eye(n))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _require_density(rho, tol=VALIDITY_TOL, times=None):
-    """check_density's verdict and errors, with _certified sparing its eigenvalues on a pass."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or not _certified(
-            rho.reshape((-1,) + rho.shape[-2:]), tol):
-        check_density(rho, tol, times)
+    return np.where(finite, np.linalg.eigvalsh(sym)[:, 0], np.nan)
 
 
 def check_density(rho, tol=VALIDITY_TOL, times=None):
     """Validate Hermiticity, unit trace and positivity of density matrices.
 
-    rho is one N x N matrix or a nonempty stack of them, checked together
-    by _margins. tol, positive and finite, bounds Hermiticity and
-    positivity; the trace offset |Re tr - 1| + |Im tr| always holds to
-    STATE_TRACE_TOL. Raises UnphysicalStateError naming the margins of the
-    first failing matrix, and its time when times labels the stack.
+    rho is one N x N matrix or a nonempty stack of them, checked together.
+    tol, positive and finite, bounds Hermiticity and positivity; the trace
+    offset |Re tr - 1| + |Im tr| always holds to STATE_TRACE_TOL. Raises
+    UnphysicalStateError naming the margins of the first failing matrix, and
+    its time when times labels the stack.
+
+    Hermiticity and trace come from _offsets. When they pass, a proof comes
+    first: the Hermitian matrix read from the lower triangle lies within
+    r = (N - 1) herm / 2 of the symmetrized one in the 2-norm, so one batched
+    Cholesky factorization of it plus (tau - r) I, tau = tol
+    (1 - CERTIFICATE_SLACK), proves every min eigenvalue >= -tol up to
+    rounding, at every N. A factor that fails proves nothing, and the min
+    eigenvalues of the stack, from _min_eigenvalues, decide.
     """
     positive_finite("tol", tol)
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or not rho.size:
         raise InputError("density matrix must be square and nonempty")
-    herm, trace, mineig = _margins(rho.reshape((-1,) + rho.shape[-2:]))
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    herm, trace = _offsets(stack)
+    if (herm <= tol).all() and (trace <= STATE_TRACE_TOL).all():
+        n = stack.shape[-1]
+        with suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(
+                stack + (tol * (1.0 - CERTIFICATE_SLACK) - (n - 1) * herm.max() / 2) * np.eye(n))
+            return
+    mineig = _min_eigenvalues(stack)
     ok = (herm <= tol) & (trace <= STATE_TRACE_TOL) & (mineig >= -tol)
     if not ok.all():
         i = int(np.argmin(ok))

@@ -16,13 +16,14 @@ VALIDITY_TOL = 1e-9
 PROPAGATION_TOL = 1e-7
 # trace offset |Re tr - 1| + |Im tr| allowed for any state, whatever the tol
 STATE_TRACE_TOL = 1e-9
-# propagate proves its samples positive without eigenvalues, by a Cholesky
-# factor of rho + tol (1 - CERTIFICATE_SLACK) I at every N. Both that factor
-# and eigvalsh err by a few N eps for a unit-trace state (~4e-15 together at
-# N = 8), so a proof stands for check_density's verdict while
-# tol CERTIFICATE_SLACK exceeds that, for every tol above 4e-11. States whose
-# smallest eigenvalue lies in the band of width tol CERTIFICATE_SLACK above
-# -tol go to check_density unproven, which only costs its eigenvalues
+# check_density proves a state, or a stack of samples, positive without
+# eigenvalues first, by a Cholesky factor of rho + tol (1 - CERTIFICATE_SLACK) I
+# at every N. Both that factor and eigvalsh err by a few N eps for a
+# unit-trace state (~4e-15 together at N = 8), so a proof stands for the
+# eigenvalue verdict while tol CERTIFICATE_SLACK exceeds that, for every tol
+# above 4e-11. States whose smallest eigenvalue lies in the band of width
+# tol CERTIFICATE_SLACK above -tol are left unproven, which only costs their
+# eigenvalues
 CERTIFICATE_SLACK = 1e-4
 # trace-functional residual of a generator, relative to max(1, max|L|)
 GENERATOR_TRACE_TOL = 1e-12
@@ -98,14 +99,22 @@ GRID_STEP_SLACK = 1e-12
 # ru_maxrss); benchmark calls hold up to 2 MB
 MAX_SAMPLE_BYTES = 2 ** 26
 # a segment of duration d is refused when d times the bound on the largest
-# entry of A0 + sum_m f_m A_m, the Hamiltonian part of G(f), passes this:
-# rounding in exp(G d) grows with that phase. A relaxing qubit over 8 time
+# entry of G(f) = A0 + sum_m f_m A_m + A_D, dissipator included, passes this:
+# rounding in exp(G d) grows with that phase, and N^2 times it bounds
+# norm(G h, 1), so exp(G h) never overflows. A relaxing qubit over 8 time
 # units (f = 0, exact z(8) = 0.596207, segments up to 4 long, sample_dt
-# 0.02-8) erred in z(8) by up to 8e-9/8e-8/6e-7/9e-6/8e-5/9e-3 at phases
-# 8e8/8e9/8e10/8e11/8e12/8e14, and returned the linearized 0.6 at 8e16. The
-# bound holds that error near PROPAGATION_TOL (1.4e-7 at 1e10); 2^53, where
-# the phase keeps no digits at all, would admit an error of 1e-2. The tests
-# reach phases up to 252, the benchmark inputs up to 44
+# 0.02-8) erred in z(8) by up to 8e-9/8e-8/6e-7/9e-6/8e-5/9e-3 at
+# Hamiltonian phases 8e8/8e9/8e10/8e11/8e12/8e14, and returned the
+# linearized 0.6 at 8e16.
+# Dephasing sets it the same way: driven (d = 0.5, f = 1) over 3 units with
+# relaxation 1, the final states at sample_dt 3 and 0.001 differ by
+# 3.2e-9/3.3e-8/1.3e-7/3.7e-5 at dephasing 1e8/1e9/3e9/1e12, and undriven
+# dephasing 1e16 erred by 0.21 in z(3). The bound holds that error near
+# PROPAGATION_TOL (1.4e-7 at 1e10); 2^53, where the phase keeps no digits at
+# all, would admit an error of 1e-2. Its cost: undriven runs that stay
+# accurate to 6e-9 however stiff, dephasing past 3.3e9 over 3 units, are
+# refused too. Outside the tests of this bound the tests reach phases up to
+# 300, the benchmark inputs up to 45
 MAX_PHASE = 1e10
 # relative and absolute slack for a duration that overruns the field program
 DURATION_REL_SLACK = 1e-12

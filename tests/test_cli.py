@@ -506,9 +506,9 @@ def test_grid_too_large_to_hold_is_a_config_error(tmp_path, capsys):
     # both once ended in a traceback: expm's "matrix exponential of non-finite
     # input", and an overflow in the RK4 step check
     ("piecewise", 1e307, 1.0, 1e3,
-     "segment 0: step 1e+03 times 4 and the entry bound 1e+307 of G(f) overflows"),
+     "segment 0: generator phase inf passes the 1e+10 bound"),
     ("sampled", 1e303, 1.0, 1e8,
-     "segment 0: step 1e+08 times 4 and the entry bound 1e+303 of G(f) overflows"),
+     "segment 0: generator phase inf passes the 1e+10 bound"),
     # once a RuntimeWarning, then "field amplitudes overflow the generator"
     ("piecewise", 0.0, 1.7e308, 1.0, "generator pieces overflow: Hamiltonian or rates too large"),
 ], ids=["exact-step", "rk4-step", "affine-images"])
@@ -665,10 +665,35 @@ def test_phase_without_digits_is_a_config_error(tmp_path, capsys, template, ener
     out = tmp_path / "x.csv"
     assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: segment 0: Hamiltonian phase ")
+    assert captured.err.startswith("config error: segment 0: generator phase ")
     assert captured.err.endswith(" passes the 1e+10 bound, past which exp(G t) keeps too few "
                                  "digits\n")
     assert captured.err.count("\n") == 1 and captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("dephasing, driven, duration, sample_dt", [
+    (1e16, False, 3.0, 3.0),  # exit 0 with z(3) = 0.736 against the exact 0.950
+    (5e15, False, 3.0, 3.0),  # exit 3, "state left the physical set", though CP
+    (1e12, True, 3.0, 3.0),  # exit 0, 3.7e-5 from the same run at sample_dt 0.001
+    (1e300, False, 1.0, 0.1),  # exit 0 with z(1) = 1.0 against the exact 0.632
+], ids=["exit0", "exit3", "driven", "extreme"])
+def test_stiff_dissipation_is_a_config_error(tmp_path, capsys, dephasing, driven, duration,
+                                             sample_dt):
+    # the phase bound counts the dissipator: relaxation 1 -> 0 at rate 1
+    # relaxes z slowly next to a dephasing many orders faster
+    doc = {"system": {"levels": 2, "energies": [0.0, 1.0],
+                      "dipoles": [{"levels": [0, 1], "moment": 0.5}][:driven]},
+           "dissipation": {"dephasing": [[0.0, dephasing], [dephasing, 0.0]],
+                           "relaxation": [[0.0, 1.0], [0.0, 0.0]]},
+           "field": {"kind": "piecewise",
+                     "segments": [{"duration": duration, "values": [1.0][:driven]}]},
+           "initial": {"pure": [[1.0, 0.0], [1.0, 0.0]]}, "run": {"sample_dt": sample_dt}}
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "config error: segment 0: generator phase %.3g passes the "
+                                       "1e+10 bound, past which exp(G t) keeps too few digits\n"
+                                   % (duration * dephasing))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("energies, sample_dt, first, admitted", [

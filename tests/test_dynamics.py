@@ -305,18 +305,20 @@ def test_propagate_refuses_bad_sample_grids(dt):
 
 
 def test_default_grid_too_large_to_hold_is_refused():
-    # rates of 1e12 give a default sample_dt near 1e-13
+    # rates of 1e12 give a default sample_dt near 1e-13; over 1e-3 time
+    # units they keep the phase at 3e8, inside MAX_PHASE
     sys, spec = make_qubit(BIG_GAMMA * 1e12, G12 * 1e12, G21 * 1e12)
-    field = ControlField.constant([0.0, 0.0], duration=8.0)
+    field = ControlField.constant([0.0, 0.0], duration=1e-3)
     with pytest.raises(InputError, match="past the 64 MB bound"):
         propagate(sys, spec, field, from_pure([1, 0]))
 
 
 def test_default_grid_of_rates_whose_norm_overflows_is_refused():
     # norm(L) of rates 1e160 overflows: the default sample_dt is 0, which the
-    # grid check refuses, with no overflow warning or ZeroDivisionError first
+    # grid check refuses, with no overflow warning or ZeroDivisionError first.
+    # Over 1e-155 time units the phase is 2e5, inside MAX_PHASE
     sys, spec = make_qubit(1e160, 1e160, 1e160)
-    field = ControlField.constant([0.0, 0.0], duration=1.0)
+    field = ControlField.constant([0.0, 0.0], duration=1e-155)
     with pytest.raises(InputError, match="^sample_dt 0 gives inf samples .* past the 64 MB bound"):
         propagate(sys, spec, field, from_pure([1, 0]))
 
@@ -451,7 +453,7 @@ def test_phase_bound_admits_accurate_runs_and_refuses_the_rest():
     assert traj.bloch[0, 2] == -1.0
     assert abs(traj.bloch[-1, 2] - exact) < PROPAGATION_TOL
     sys, spec = make_qubit(omega=2e9)
-    with pytest.raises(InputError, match="segment 0: Hamiltonian phase 1.6e\\+10 passes the "
+    with pytest.raises(InputError, match="segment 0: generator phase 1.6e\\+10 passes the "
                                          "1e\\+10 bound"):
         propagate(sys, spec, field, from_pure([0, 1]), sample_dt=0.02)
 
@@ -466,8 +468,24 @@ def test_phase_without_digits_is_refused(template, kind, energy):
     sys = ControlSystem(h0=np.diag([energy, -energy]).astype(complex),
                         controls=cfg.system.controls)
     assert cfg.field.kind == kind
-    with pytest.raises(InputError, match="segment 0: Hamiltonian phase .* passes the 1e\\+10"):
+    with pytest.raises(InputError, match="segment 0: generator phase .* passes the 1e\\+10"):
         propagate(sys, cfg.dissipation, cfg.field, cfg.rho0, sample_dt=cfg.sample_dt)
+
+
+@pytest.mark.parametrize("dephasing", [1e8, 1e9, 3e9])
+def test_phase_bound_admits_stiff_runs_that_keep_their_digits(dephasing):
+    # a driven qubit (d = 0.5, f = 1) that relaxes at rate 1 over one 3-unit
+    # segment, at phases 3e8-9e9: the final states at sample_dt 3 and 0.001
+    # differ by 3.2e-9/3.3e-8/1.3e-7, growing with the rate; at dephasing
+    # 1e12 they differed by 3.7e-5, and the phase bound refuses it
+    sys = ControlSystem(h0=np.diag([0.0, 1.0]).astype(complex),
+                        controls=(0.5 * np.array([[0, 1], [1, 0]], dtype=complex),))
+    spec = DissipationSpec(dephasing=[[0.0, dephasing], [dephasing, 0.0]],
+                           relaxation=[[0.0, 1.0], [0.0, 0.0]])
+    field = ControlField(segments=((3.0, (1.0,)),))
+    finals = [propagate(sys, spec, field, from_pure([1, 1]), sample_dt=dt).bloch[-1]
+              for dt in (3.0, 0.001)]
+    assert np.abs(finals[0] - finals[1]).max() < 1.5 * PROPAGATION_TOL
 
 
 def _refused_call(case):
@@ -511,15 +529,16 @@ def test_degree_four_taylor_step_is_the_classical_rk4_step():
 
 
 def test_taylor_degree_is_the_least_whose_bound_covers_the_step():
+    # one lookup per entry, scalar or array, and 0 past the last bound
     bounds = sorted(TAYLOR_THETA.items())
-    degrees = []
-    expected = []
+    steps, expected = [], []
     for (m, theta), (above, _) in zip(bounds, bounds[1:]):
-        degrees += [dynamics._taylor_degree(theta * (1 - 1e-9)),
-                    dynamics._taylor_degree(theta * (1 + 1e-9))]
+        steps += [theta * (1 - 1e-9), theta * (1 + 1e-9)]
         expected += [m, above]
-    assert degrees == expected
-    assert dynamics._taylor_degree(bounds[-1][1] * (1 + 1e-9)) is None
+    steps.append(bounds[-1][1] * (1 + 1e-9))
+    expected.append(0)
+    assert dynamics._taylor_degree(np.array(steps)).tolist() == expected
+    assert [dynamics._taylor_degree(x) for x in steps] == expected
 
 
 def counting_expm(monkeypatch):
@@ -614,7 +633,7 @@ def sequential_route(sys, spec, segments, kind, u0, dt):
         degree = 4
         if kind == "piecewise":
             degree = dynamics._taylor_degree(h * np.abs(gen).sum(axis=0).max())
-        formed = n > 2 or degree is None
+        formed = n > 2 or not degree
         if formed:
             p = expm(gen, h) if kind == "piecewise" else _taylor(gen, h, np.eye(len(gen)), 4)
         for k in range(1, n + 1):
@@ -649,7 +668,7 @@ def test_batched_short_steps_match_the_sequential_route(monkeypatch, kind, dim):
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
     np.testing.assert_array_equal(traj.times, times)
     if kind == "piecewise":
-        past = [dynamics._taylor_degree(d * np.abs(_combine(gens, f)).sum(axis=0).max()) is None
+        past = [dynamics._taylor_degree(d * np.abs(_combine(gens, f)).sum(axis=0).max()) == 0
                 for d, f in segments]
         assert 0 < sum(past) < 75
 

@@ -10,6 +10,9 @@ benchmark harness and the acceptance checks. Together they must
   the package in some call by the function's or the class's name: by
   keyword, by position, or through * or **. A default that no caller sets is
   a constant.
+Every private module-level name of a package module, dunders aside, must be
+referenced the same way from the package itself, so that no helper survives
+only for its tests.
 """
 
 import ast
@@ -112,6 +115,13 @@ def test_every_public_module_level_name_has_a_production_reference():
     referenced = set().union(*map(_references, CALLERS))
     unused = ["%s.%s" % (p.stem, name) for p in MODULES for name in _module_names(p)
               if not name.startswith("_") and name not in referenced]
+    assert unused == []
+
+
+def test_every_private_module_level_name_is_referenced_in_the_package():
+    referenced = set().union(*map(_references, MODULES))
+    unused = ["%s.%s" % (p.stem, name) for p in MODULES for name in _module_names(p)
+              if name.startswith("_") and not name.endswith("__") and name not in referenced]
     assert unused == []
 
 

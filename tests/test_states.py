@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochdyn.config import parse_config
 from blochdyn.dynamics import propagate
 from blochdyn.errors import UnphysicalStateError
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, dipole_coupling
 from blochdyn.states import (
     CoherenceVector,
-    _certified,
-    _margins,
+    _min_eigenvalues,
     _offsets,
-    _require_density,
     check_density,
     density_from_coordinates,
     from_coherence_vector,
@@ -21,7 +20,9 @@ from blochdyn.states import (
     gell_mann_basis,
     to_coherence_vector,
 )
-from blochdyn.tolerances import CERTIFICATE_SLACK
+from blochdyn.tolerances import CERTIFICATE_SLACK, STATE_TRACE_TOL
+from test_cli import make_doc
+from test_dynamics import counting_eigvalsh
 
 
 def purity(rho):
@@ -213,9 +214,41 @@ def test_check_density_rejects_bad_inputs():
     with pytest.raises(UnphysicalStateError):
         check_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     check_density(np.eye(2) / 2)
-    assert _margins(np.eye(2)[None] / 2)[2][0] == 0.5
+    assert _min_eigenvalues(np.eye(2)[None] / 2)[0] == 0.5
     with pytest.raises(UnphysicalStateError):
         check_density(np.diag([0.5 + 1e-8j, 0.5]))  # imaginary trace
+
+
+def margins_of(stack):
+    """The three margins check_density reports, per matrix of the stack."""
+    return (*_offsets(stack), _min_eigenvalues(stack))
+
+
+def full_matrix_offsets(stack):
+    """Hermiticity and trace offsets read over every entry, as a reference for _offsets."""
+    herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+    tr = np.trace(stack, axis1=1, axis2=2)
+    return herm, np.abs(tr.real - 1.0) + np.abs(tr.imag)
+
+
+def eigvalsh_verdict(stack, tol):
+    """check_density's rule read independently: every entry, one eigvalsh per matrix."""
+    herm, trace = full_matrix_offsets(stack)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    mineig = [np.linalg.eigvalsh((m + m.conj().T) / 2)[0] if ok else np.nan
+              for m, ok in zip(stack, finite)]
+    return bool(((herm <= tol) & (trace <= STATE_TRACE_TOL) & (np.array(mineig) >= -tol)).all())
+
+
+def proof_and_verdict(stack, tol):
+    """(passed without eigenvalues, passed) of check_density on the stack."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counting_eigvalsh(patch)
+        try:
+            check_density(stack, tol)
+        except UnphysicalStateError:
+            return False, False
+    return not calls, True
 
 
 CORRUPTIONS = st.lists(
@@ -259,7 +292,7 @@ def test_stacked_check_matches_per_matrix_check(dim, size, seed, corruptions, to
             first, single = i, str(exc)
             break
     # the stack's margins are those of each matrix alone, bit for bit
-    for margin, alone in zip(_margins(stack), zip(*(_margins(m[None]) for m in stack))):
+    for margin, alone in zip(margins_of(stack), zip(*(margins_of(m[None]) for m in stack))):
         np.testing.assert_array_equal(margin, np.concatenate(alone))
     times = 0.5 * np.arange(size)
     if first is None:
@@ -269,7 +302,7 @@ def test_stacked_check_matches_per_matrix_check(dim, size, seed, corruptions, to
         check_density(stack, tol, times=times)
     # both errors name the first failing matrix's margins, the stacked one its time
     margins = "hermiticity %.3g, trace offset %.3g, min eigenvalue %.3g" % tuple(
-        m[0] for m in _margins(stack[first][None]))
+        m[0] for m in margins_of(stack[first][None]))
     assert single == "unphysical state: %s (tol %.3g)" % (margins, tol)
     assert str(err.value) == "state left the physical set at t=%.6g: %s" % (times[first], margins)
 
@@ -305,27 +338,11 @@ def test_certificate_verdict_matches_check_density(dim, size, seed, defects, tol
             m *= 1.0 + 1e-8
         else:
             m[tuple(rng.integers(0, dim, 2))] = np.nan
-    try:
-        check_density(stack, tol)
-        passed = True
-    except UnphysicalStateError:
-        passed = False
-    assert _certified(stack, tol) == passed
-    if not passed:
-        # propagate's path raises check_density's own error
-        times = 0.25 * np.arange(1, size + 1)
-        with pytest.raises(UnphysicalStateError) as direct:
-            check_density(stack, tol, times=times)
-        with pytest.raises(UnphysicalStateError) as via:
-            _require_density(stack, tol, times=times)
-        assert str(via.value) == str(direct.value)
-
-
-def full_matrix_offsets(stack):
-    """Hermiticity and trace offsets read over every entry, as a reference for _offsets."""
-    herm = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
-    tr = np.trace(stack, axis1=1, axis2=2)
-    return herm, np.abs(tr.real - 1.0) + np.abs(tr.imag)
+    # every defect lies 1e-3 tol or more from the bound, past the
+    # CERTIFICATE_SLACK band, so a stack passes exactly when it is proven
+    # without eigenvalues, and the verdict is that of the eigvalsh rule
+    proven, passed = proof_and_verdict(stack, tol)
+    assert proven == passed == eigvalsh_verdict(stack, tol)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -370,11 +387,24 @@ def test_certificate_proves_only_states_that_pass(dim, seed, tol, kinds, gap):
             w[0] = target
         stack.append((v * w) @ v.conj().T)
     stack = np.array(stack)
-    if _certified(stack, tol):
-        check_density(stack, tol)
+    proven = proof_and_verdict(stack, tol)[0]
+    if proven:
+        assert eigvalsh_verdict(stack, tol)
     if "below" not in kinds and ("above" not in kinds or gap > 2 * CERTIFICATE_SLACK):
         # the certificate's band lies within tol CERTIFICATE_SLACK above -tol
-        assert _certified(stack, tol)
+        assert proven
+
+
+def test_valid_states_from_a_config_or_a_coherence_vector_compute_no_eigenvalues(monkeypatch):
+    # both go through check_density, whose Cholesky proof clears a physical
+    # state before any eigenvalue; only a state it leaves unproven pays them
+    calls = counting_eigvalsh(monkeypatch)
+    density = [[[0.3, 0.0], [0.45, 0.0]], [[0.45, 0.0], [0.7, 0.0]]]
+    rho = parse_config(make_doc(initial={"density": density})).rho0
+    assert rho.tolist() == [[0.3, 0.45], [0.45, 0.7]]
+    for bloch in ([0.2, -0.4, 0.6], [0.1, 0.0, -0.2, 0.3, 0.0, 0.1, 0.2, -0.3]):
+        from_coherence_vector(CoherenceVector(bloch=bloch, trace_part=1.0))
+    assert calls == []
 
 
 def test_coherence_vector_length_validation():
