@@ -84,7 +84,7 @@ def ball_containment(traj):
     """True when every sample stays inside the ball of radius trace_part.
 
     For two levels this is the Bloch-ball condition |v| <= 1; for more
-    levels positivity of each stored density matrix is checked instead,
+    levels positivity of each sample's density matrix is checked instead,
     with -min eigenvalue from states._min_eigenvalues as the excess measure.
     An excess past PROPAGATION_TOL, or a NaN one, is a violation, answered,
     not raised.

@@ -22,10 +22,17 @@ dependency.
 Forward time is enforced; amplitude rows that liouville._admit refuses,
 segments whose phase, the duration times the entry bound of all of G(f), is
 too large to keep digits, grids too large to hold and RK4 steps past their
-stability bound are refused (InputError) before the first step, and every
-sample passes check_density, the one validity check: a Cholesky proof
-clears a physical stack without eigenvalues, and eigenvalues decide the
-rest and name the first failure.
+stability bound are refused (InputError) before the first step. Every
+sample then passes the rule of check_density, the one validity check, read
+from its coordinates (states._check_coordinates): the density matrix of
+real coordinates on a Hermitian basis is Hermitian by construction, and the
+trace is constant because every step operator's last row is exactly
+(0, ..., 0, 1), so only positivity is left to prove. A Cholesky factor of
+every ANCHOR_STRIDE-th sample proves its neighbours by Weyl's inequality;
+samples that no anchor proves get the certificate, eigenvalues decide what
+that leaves, and any failure names the first failing sample as
+check_density does over the rebuilt stack. A Trajectory keeps the
+coordinates and builds its density matrices when they are first read.
 
 Steady states come from the affine picture: v* = -A^{-1} b, with the
 propagation route available as an independent cross-check, and constant
@@ -38,14 +45,15 @@ unproven gets its own SVD, so the verdict equals the per-point rule.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import affine_generator_set
 from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import _admit, _combine
-from .states import (CoherenceVector, check_density, density_from_coordinates,
-                     to_coherence_vector)
+from .states import (CoherenceVector, _check_coordinates, check_density,
+                     density_from_coordinates, to_coherence_vector)
 from .tolerances import (CONIC_DISCRIMINANT_TOL, CONIC_FIT_TOL, DEGENERATE_CONIC_TOL,
                          EXPM_MAX_DEGREE, GRID_STEP_SLACK, MAX_PHASE, MAX_SAMPLE_BYTES,
                          PROPAGATION_TOL, RK4_STEP_BOUND, SAMPLE_STEP_NORM, SINGULAR_RATIO,
@@ -86,20 +94,32 @@ def expm(m, t=1.0):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times, density matrices and coherence coordinates."""
+    """Sampled evolution: times and coherence coordinates, density matrices on first read.
+
+    Sample k is bloch[k] and trace_part[k]; rho0 is the initial state as
+    given, row 0 of rho.
+    """
 
     times: np.ndarray
-    rho: np.ndarray
     bloch: np.ndarray
     trace_part: np.ndarray
+    rho0: np.ndarray
 
     @property
     def dim(self):
-        return self.rho.shape[1]
+        return len(self.rho0)
+
+    @cached_property
+    def rho(self):
+        """Density matrix of every sample, rebuilt from its coordinates; row 0 is rho0."""
+        rho = density_from_coordinates(np.column_stack([self.bloch, self.trace_part]), self.dim)
+        rho[0] = self.rho0
+        return rho
 
     def purities(self):
-        """tr(rho^2) at every sample."""
-        return np.einsum("nij,nji->n", self.rho, self.rho).real
+        """tr(rho^2) = s^2 / N + norm(v)^2 / 2 at every sample, from the coordinates."""
+        return (self.trace_part ** 2 / self.dim
+                + np.einsum("ij,ij->i", self.bloch, self.bloch) / 2)
 
 
 def _effective_segments(field, duration):
@@ -153,9 +173,13 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     least-degree Taylor polynomial to u step by step instead. Zero dissipation
     gives unitary evolution. Every sample is checked for validity; the trace
     must hold to STATE_TRACE_TOL and Hermiticity and positivity to
-    validity_tol, which must be positive and finite. check_density checks
-    the samples together once computed, and its error names the first
-    failing sample. Before the first step, InputError (a ValueError)
+    validity_tol, which must be positive and finite. The rule is
+    check_density's over the samples' density matrices, read from their
+    coordinates: Hermiticity holds by construction and the trace is the
+    initial state's bit for bit, so the trace is read from s and positivity
+    is proven by anchors, with no matrix built for a sample an anchor
+    proves. A failure is named by check_density over the rebuilt stack, as
+    the first failing sample. Before the first step, InputError (a ValueError)
     refuses a segment whose amplitudes _admit refuses or whose phase, its
     duration times _admit's bound on every entry of G(f), dissipator
     included, passes MAX_PHASE; a sample_dt not positive and finite or whose
@@ -166,7 +190,7 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     positive_finite("validity_tol", validity_tol)
     if sample_dt is not None:
         positive_finite("sample_dt", sample_dt)
-    rho0 = np.asarray(rho0, dtype=complex)
+    rho0 = np.array(rho0, dtype=complex)  # a copy: the trajectory's row 0 of rho
     check_density(rho0)
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
         raise InputError("system, dissipation and state dimensions differ")
@@ -213,11 +237,9 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
         hi = min(lo + block, count)
         _step_block(us[first[lo]:first[hi] + 1], weights[lo:hi] @ pieces, h[lo:hi],
                     n_steps[lo:hi], field.kind == "piecewise")
-    rhos = density_from_coordinates(us, sys.dim)
-    rhos[0] = rho0  # the state as given, not its rebuild from u
     if len(times) > 1:
-        check_density(rhos[1:], validity_tol, times=times[1:])
-    return Trajectory(times=times, rho=rhos, bloch=us[:, :-1], trace_part=us[:, -1])
+        _check_coordinates(us[1:], validity_tol, times[1:])
+    return Trajectory(times=times, bloch=us[:, :-1], trace_part=us[:, -1], rho0=rho0)
 
 
 def _step_block(us, g, h, steps, piecewise):

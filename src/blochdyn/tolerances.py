@@ -25,6 +25,23 @@ STATE_TRACE_TOL = 1e-9
 # tol CERTIFICATE_SLACK above -tol are left unproven, which only costs their
 # eigenvalues
 CERTIFICATE_SLACK = 1e-4
+# propagate groups its samples ANCHOR_STRIDE at a time and factors only each
+# group's middle one, shifted by the group's distance from it
+# (states._unproven); the groups an anchor leaves go to the certificate. On
+# trajectory_dense's inputs (seed 7001, 2,000 samples, 12 trajectories per N,
+# one BLAS thread, least of 3 runs) the sample check took 0.18/0.25/0.48/1.11
+# ms at N = 2/3/5/8 with stride 4, 0.13/0.18/0.34/0.72 with 8,
+# 0.10/0.14/0.25/1.23 with 16 and 0.09/0.12/0.45/2.47 with 32, against
+# 0.42/0.81/1.59/4.57 ms to rebuild and certify every sample. Strides 4 and 8
+# prove every sample; 16 leaves 22% of them to the certificate at N = 8, 32 69%
+ANCHOR_STRIDE = 8
+# rounding allowance of that proof per unit of N^2. An anchor is tried only
+# inside the ball (norm(v) below the pure-state radius, trace within
+# STATE_TRACE_TOL of 1, delta below 1/N + tol), where the coordinates, the
+# matrices factored and the distances err against long-double references,
+# on propagated trajectories and paths of close states at N = 2-8, by at
+# most 0.22 eps N^2; 4 eps leaves a factor 18
+ANCHOR_ROUNDING = 4 * 2.0 ** -52
 # trace-functional residual of a generator, relative to max(1, max|L|)
 GENERATOR_TRACE_TOL = 1e-12
 # Hermitian and symmetric-rate deviation, relative to max(1, max|m|)
@@ -88,15 +105,20 @@ STEP_BATCH_MAX_ORDER = 36
 # at N = 5 at once would hold 100 MB per array. 200 slices at each of N = 3,
 # 5, 8, both field kinds, ran 1.47/1.60/1.58 times faster than with
 # per-segment set-up at 2^16/2^17/2^18 bytes (interleaved in one process, one
-# BLAS thread)
+# BLAS thread). The anchor distances of states._unproven read the samples'
+# coordinates this many bytes at a time, for the same reason
 STEP_BATCH_BYTES = 2 ** 17
 # a segment of duration d takes ceil(d / dt - GRID_STEP_SLACK) equal steps,
 # so that rounding just above an integer adds no step
 GRID_STEP_SLACK = 1e-12
 # a grid whose density matrices (16 N^2 bytes a sample) pass this is refused:
-# 2^20 samples at N = 2, 2^16 at N = 8. One propagate call grows RSS by 4-5
-# times that stack (57 MB for 12.2 MB at N = 2, 79 MB for 19.5 MB at N = 8,
-# ru_maxrss); benchmark calls hold up to 2 MB
+# 2^20 samples at N = 2, 2^16 at N = 8. propagate steps and checks the
+# coordinates, 8 N^2 bytes a sample, and Trajectory.rho builds the density
+# stack only when it is read, as the CLI's rho output does; the bound keeps
+# that stack holdable. One propagate call grows RSS (ru_maxrss) by 17 MB for
+# a 12.2 MB stack at N = 2 and by 18 MB for 19.5 MB at N = 8, 27 and 42 MB
+# once rho is read (60 and 85 MB when every call built and checked the
+# stack); benchmark calls hold up to 2 MB
 MAX_SAMPLE_BYTES = 2 ** 26
 # a segment of duration d is refused when d times the bound on the largest
 # entry of G(f) = A0 + sum_m f_m A_m + A_D, dissipator included, passes this:

@@ -135,10 +135,9 @@ def test_ball_containment_accepts_physical_trajectory():
 
 def qubit_path(z):
     """Two-sample qubit trajectory whose second sample sits at v = (0, 0, z)."""
-    rho = np.stack([np.diag([0.95, 0.05]), np.diag([(1 + z) / 2, (1 - z) / 2])]).astype(complex)
-    return Trajectory(times=np.array([0.0, 1.0]), rho=rho,
+    return Trajectory(times=np.array([0.0, 1.0]),
                       bloch=np.array([[0.0, 0.0, 0.9], [0.0, 0.0, z]]),
-                      trace_part=np.array([1.0, 1.0]))
+                      trace_part=np.array([1.0, 1.0]), rho0=np.diag([0.95, 0.05]).astype(complex))
 
 
 def test_ball_containment_flags_expansion():
@@ -157,8 +156,8 @@ def test_ball_containment_judges_the_excess_at_propagation_tol():
 def test_ball_containment_counts_a_nan_sample_as_outside():
     # a NaN excess once compared False with the tolerance and read as inside
     assert ball_containment(qubit_path(np.nan)) is False
-    nan3 = Trajectory(times=np.array([0.0]), rho=np.full((1, 3, 3), np.nan, dtype=complex),
-                      bloch=np.full((1, 8), np.nan), trace_part=np.array([1.0]))
+    nan3 = Trajectory(times=np.array([0.0]), bloch=np.full((1, 8), np.nan),
+                      trace_part=np.array([1.0]), rho0=np.full((3, 3), np.nan, dtype=complex))
     assert ball_containment(nan3) is False
 
 
@@ -171,18 +170,18 @@ def test_ball_containment_three_levels_uses_positivity():
     v = to_coherence_vector(rho_ok)
     traj = Trajectory(
         times=np.array([0.0]),
-        rho=rho_ok[None, :, :],
         bloch=v.bloch[None, :],
         trace_part=np.array([1.0]),
+        rho0=rho_ok,
     )
     assert ball_containment(traj) is True
     rho_bad = (q * np.array([0.7, 0.5, -0.2])) @ q.conj().T
     vb = to_coherence_vector(rho_bad)
     bad = Trajectory(
         times=np.array([0.0]),
-        rho=rho_bad[None, :, :],
         bloch=vb.bloch[None, :],
         trace_part=np.array([1.0]),
+        rho0=rho_bad,
     )
     assert ball_containment(bad) is False
     assert -np.linalg.eigvalsh(rho_bad)[0] == pytest.approx(0.2, abs=1e-12)

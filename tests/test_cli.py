@@ -376,6 +376,27 @@ def test_simulate_writes_deterministic_csv(tmp_path):
     assert float(first.split(",")[0]) == 0.0
 
 
+@pytest.mark.parametrize("outputs", [["bloch"], ["bloch", "purity"], ["purity"],
+                                     ["bloch", "purity", "rho"]])
+def test_simulate_builds_the_density_stack_only_for_a_rho_output(tmp_path, monkeypatch, outputs):
+    # purity comes from the coordinates and the dimension from the initial
+    # state; only the rho columns read Trajectory.rho
+    built = []
+    rebuild = dynamics.density_from_coordinates
+
+    def counted(u, dim):
+        built.append(np.shape(u))
+        return rebuild(u, dim)
+
+    monkeypatch.setattr(dynamics, "density_from_coordinates", counted)
+    doc = json.loads(template_text("three_level_ladder"))
+    doc["run"]["outputs"] = outputs
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    rows = len(out.read_text().splitlines()) - 1
+    assert built == ([(rows, 9)] if "rho" in outputs else [])
+
+
 def _per_cell_csv(header, rows):
     return ",".join(header) + "\n" + "".join(
         ",".join("%.17g" % x for x in row) + "\n" for row in rows)

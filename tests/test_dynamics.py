@@ -38,9 +38,10 @@ from blochdyn.errors import (
 from blochdyn.liouville import (_combine, build_dissipator, generator_pieces, total_generator,
                                 vectorize)
 from blochdyn.model import ControlField, ControlSystem, DissipationSpec, qubit_system
-from blochdyn.states import (CoherenceVector, from_coherence_vector, from_pure,
-                             to_coherence_vector)
-from blochdyn.tolerances import CONIC_FIT_TOL, GRID_STEP_SLACK, PROPAGATION_TOL, TAYLOR_THETA
+from blochdyn.states import (CoherenceVector, check_density, density_from_coordinates,
+                             from_coherence_vector, from_pure, to_coherence_vector)
+from blochdyn.tolerances import (CONIC_FIT_TOL, GRID_STEP_SLACK, PROPAGATION_TOL, STATE_TRACE_TOL,
+                                 TAYLOR_THETA)
 from test_cli import load_template
 from test_propagation_properties import admissible_system
 
@@ -740,6 +741,114 @@ def test_passing_trajectory_computes_no_eigenvalues(monkeypatch):
         assert calls == []
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_pure_state_under_zero_rates_passes_without_eigenvalues(monkeypatch, dim):
+    # a pure state keeps its zero eigenvalue under unitary evolution, so no
+    # anchor proves the samples near it; the certificate proves every one
+    calls = counting_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(40 + dim)
+    sys, _ = admissible_system(rng, dim)
+    field = ControlField(segments=((2.0, rng.uniform(-1.0, 1.0, dim - 1)),))
+    rho0 = from_pure(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    traj = propagate(sys, DissipationSpec.zero(dim), field, rho0, sample_dt=1e-3)
+    assert len(traj.times) == 2001
+    assert calls == []
+    assert np.max(np.abs(traj.purities() - 1.0)) <= 1e-12
+
+
+def test_passing_trajectory_holds_less_than_its_density_stack():
+    # 20,001 samples at N = 5: the coordinates take 8 N^2 bytes a sample, the
+    # density matrices 16 N^2, and a passing trajectory is checked without
+    # them. Measured peak 6.97 MB against the 7.63 MB stack (27.35 MB while
+    # propagate rebuilt and checked every matrix)
+    rng = np.random.default_rng(5)
+    sys, spec = admissible_system(rng, 5)
+    rho0 = 0.5 * from_pure(np.ones(5)) + 0.5 * np.eye(5) / 5
+    field = ControlField(segments=((20.0, np.linspace(0.5, -0.3, 4)),))
+    tracemalloc.start()
+    try:
+        traj = propagate(sys, spec, field, rho0, sample_dt=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 20001
+    assert peak < 16 * 25 * len(traj.times) == traj.rho.nbytes
+
+
+def verdict_case(rng, dim, kind):
+    """(system, dissipation, field, initial state) of one kind of run.
+
+    "admissible": pair-rule rates, which at N >= 3 need not be completely
+    positive, from a mixed or a pure state; "dephasing": dephasing only
+    between the outer levels, not completely positive at N >= 3, which
+    drives the uniform superposition out of the physical set at once, and
+    a mixture of it with I / N after a time; "unitary": a pure state under
+    zero rates, on the boundary throughout.
+    """
+    if kind == "dephasing":
+        deph = np.zeros((dim, dim))
+        deph[0, -1] = deph[-1, 0] = 1.0
+        w = rng.uniform(0.9, 1.0)
+        return (ControlSystem(h0=np.diag(np.linspace(0.0, 2.5, dim)).astype(complex),
+                              controls=()),
+                DissipationSpec(dephasing=deph, relaxation=np.zeros((dim, dim))),
+                ControlField(segments=((1.0, ()),)),
+                w * from_pure(np.ones(dim)) + (1.0 - w) * np.eye(dim) / dim)
+    sys, spec = admissible_system(rng, dim)
+    field = ControlField(segments=tuple((float(rng.uniform(0.2, 1.0)),
+                                         rng.uniform(-1.0, 1.0, dim - 1)) for _ in range(2)))
+    pure = from_pure(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    if kind == "unitary":
+        return sys, DissipationSpec.zero(dim), field, pure
+    w = rng.uniform(0.0, 1.0)
+    return sys, spec, field, w * pure + (1.0 - w) * np.eye(dim) / dim
+
+
+def outcome(call):
+    """None when call() passes, else the message of its UnphysicalStateError."""
+    try:
+        call()
+    except UnphysicalStateError as exc:
+        return str(exc)
+    return None
+
+
+def eigvalsh_outcome(stack, tol, times):
+    """check_density's outcome read independently: every entry, one eigvalsh per matrix."""
+    for t, m in zip(times, stack):
+        herm = np.max(np.abs(m - m.conj().T))
+        tr = np.trace(m)
+        trace = abs(tr.real - 1.0) + abs(tr.imag)
+        mineig = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] if np.isfinite(m).all() else np.nan
+        if not (herm <= tol and trace <= STATE_TRACE_TOL and mineig >= -tol):
+            return ("state left the physical set at t=%.6g: hermiticity %.3g, trace offset %.3g, "
+                    "min eigenvalue %.3g" % (t, herm, trace, mineig))
+    return None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["admissible", "dephasing", "unitary"]),
+       tol=st.sampled_from([1e-9, PROPAGATION_TOL]), sample_dt=st.sampled_from([2e-3, 1e-2, 0.1]))
+def test_propagate_verdict_is_that_of_check_density_on_the_rebuilt_samples(dim, seed, kind, tol,
+                                                                           sample_dt):
+    # the samples do not depend on the tolerance, so a run that no state
+    # fails gives them; propagate must then pass, or name the same first
+    # failing sample with the same margins, as check_density over their
+    # density matrices, and as one eigvalsh per matrix
+    sys, spec, field, rho0 = verdict_case(np.random.default_rng(seed), dim, kind)
+    traj = propagate(sys, spec, field, rho0, sample_dt=sample_dt, validity_tol=1e3)
+    stack = density_from_coordinates(np.column_stack([traj.bloch, traj.trace_part])[1:], dim)
+    want = eigvalsh_outcome(stack, tol, traj.times[1:])
+    assert outcome(lambda: check_density(stack, tol, times=traj.times[1:])) == want
+    assert outcome(lambda: propagate(sys, spec, field, rho0, sample_dt=sample_dt,
+                                     validity_tol=tol)) == want
+    if kind == "dephasing" and dim > 2:
+        assert want is not None
+    if kind == "unitary":
+        assert want is None
+
+
 def test_failing_sample_is_judged_by_its_eigenvalues(monkeypatch):
     # pair-rule rates that are not completely positive: zero relaxation and
     # dephasing only between levels 0 and 2 drive the uniform superposition
@@ -885,9 +994,9 @@ def test_backward_time_leaves_the_ball():
     vecs = [to_coherence_vector(r) for r in rhos]
     traj = Trajectory(
         times=times,
-        rho=rhos,
         bloch=np.array([v.bloch for v in vecs]),
         trace_part=np.array([v.trace_part for v in vecs]),
+        rho0=rhos[0],
     )
     assert ball_containment(traj) is False
     assert np.max(np.linalg.norm(traj.bloch, axis=1) - traj.trace_part) > 0.1

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blochdyn import states
 from blochdyn.config import parse_config
 from blochdyn.dynamics import propagate
 from blochdyn.errors import UnphysicalStateError
@@ -20,9 +21,9 @@ from blochdyn.states import (
     gell_mann_basis,
     to_coherence_vector,
 )
-from blochdyn.tolerances import CERTIFICATE_SLACK, STATE_TRACE_TOL
+from blochdyn.tolerances import CERTIFICATE_SLACK, STATE_TRACE_TOL, VALIDITY_TOL
 from test_cli import make_doc
-from test_dynamics import counting_eigvalsh
+from test_dynamics import counting_eigvalsh, eigvalsh_outcome, outcome
 
 
 def purity(rho):
@@ -217,6 +218,15 @@ def test_check_density_rejects_bad_inputs():
     assert _min_eigenvalues(np.eye(2)[None] / 2)[0] == 0.5
     with pytest.raises(UnphysicalStateError):
         check_density(np.diag([0.5 + 1e-8j, 0.5]))  # imaginary trace
+    # min eigenvalue -1.7e308, whose Cholesky factor overflows without an
+    # error; and the coordinates of such states, as many as propagate's
+    # anchors read, whose norm overflows
+    huge = np.array([[0.5, 1.7e308], [1.7e308, 0.5]])
+    with pytest.raises(UnphysicalStateError, match="min eigenvalue -1.7e"):
+        check_density(huge)
+    with pytest.raises(UnphysicalStateError, match="min eigenvalue -8.5e"):
+        states._check_coordinates(np.array([[1.7e308, 0.0, 0.0, 1.0]] * 16), VALIDITY_TOL,
+                                  np.arange(16.0))
 
 
 def margins_of(stack):
@@ -393,6 +403,44 @@ def test_certificate_proves_only_states_that_pass(dim, seed, tol, kinds, gap):
     if "below" not in kinds and ("above" not in kinds or gap > 2 * CERTIFICATE_SLACK):
         # the certificate's band lies within tol CERTIFICATE_SLACK above -tol
         assert proven
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), size=st.integers(9, 300),
+       center=st.floats(0.0, 1.0), width=st.floats(0.005, 0.3),
+       depth=st.sampled_from([0.5, 0.999, 1.001, 2.0, 1e3]), tol=st.sampled_from([1e-9, 1e-7]))
+def test_anchors_pass_no_matrix_that_the_eigenvalues_fail(dim, seed, size, center, width, depth,
+                                                          tol):
+    # the coordinates of a path of close states whose smallest eigenvalue
+    # dips to -depth tol around one time and recovers, as a trajectory that
+    # leaves the physical set briefly does: an anchor next to the dip must
+    # not prove it
+    rng = np.random.default_rng(seed)
+    w, v = np.linalg.eigh(random_density(rng, dim))
+    t = np.linspace(0.0, 1.0, size)
+    dip = np.clip(1.0 - ((t - center) / width) ** 2, 0.0, None) * (w[0] + depth * tol)
+    lowest = to_coherence_vector(np.outer(v[:, 0], v[:, 0].conj())).bloch
+    start = to_coherence_vector((v * w) @ v.conj().T)
+    us = np.column_stack([start.bloch - np.outer(dip / (1.0 - 1.0 / dim), lowest),
+                          np.full(size, start.trace_part)])
+    want = eigvalsh_outcome(density_from_coordinates(us, dim), tol, t)
+    assert outcome(lambda: states._check_coordinates(us, tol, t)) == want
+    if depth < 0.9:
+        assert want is None
+
+
+def test_factors_isolates_one_run_of_failures_and_gives_up_on_two(monkeypatch):
+    calls = []
+    factorable = states._factorable
+    monkeypatch.setattr(states, "_factorable", lambda m: calls.append(len(m)) or factorable(m))
+    stack = np.array([np.eye(2)] * 16)
+    stack[11, 1, 1] = -1.0
+    assert np.flatnonzero(~states._factors(stack)).tolist() == [11]
+    assert len(calls) == 1 + 2 * 4
+    # failures in both halves: the whole range counts as failing
+    stack[2, 1, 1] = -1.0
+    assert not states._factors(stack).any()
+    assert states._factors(np.array([np.eye(2)] * 5)).all()
 
 
 def test_valid_states_from_a_config_or_a_coherence_vector_compute_no_eigenvalues(monkeypatch):
