@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _affine_images
+from .bloch import _affine_pieces
 from .errors import InputError
-from .liouville import generator_pieces
 from .tolerances import CLOSURE_TOL, CLOSURE_ZERO_NORM, real_valued
 
 
@@ -130,13 +129,14 @@ def affine_generator_set(sys, spec):
 
     One matrix each for L0, for every L_m and for L_D, in the order of
     liouville.generator_pieces. Weighted by (1, f_1..f_M, 1) they sum to the
-    affine generator G(f) that propagation and the steady states use; their
-    closure is the full dynamical algebra on the coherence vector. They are
-    formed together from the stack of pieces, by one basis change, and
-    returned as a list of its rows: perfbench/tracing.py reads the closure
-    counters of its traced runs only from list or tuple input to lie_closure.
+    affine generator G(f); their closure is the full dynamical algebra on
+    the coherence vector. They are read straight from H and the rates
+    (bloch._affine_pieces, which propagation and the steady states use
+    directly) and returned as a list of its rows: perfbench/tracing.py reads
+    the closure counters of its traced runs only from list or tuple input to
+    lie_closure.
     """
-    return list(_affine_images(generator_pieces(sys, spec)))
+    return list(_affine_pieces(sys, spec))
 
 
 def decompose_inhomogeneous(basis):

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .algebra import decompose_inhomogeneous, hamiltonian_algebra, lie_closure
-from .bloch import _affine_images
+from .bloch import _affine_pieces
 from .config import load_config, template_names, template_text
 from .dynamics import _fixed_points, propagate, semigroup_spectrum, steady_state_sweep
 from .errors import ConfigError, PhysicsError
@@ -89,11 +89,15 @@ def cmd_simulate(cfg, out, sample_dt=None, tol=PROPAGATION_TOL):
 
 
 def analyze_report(cfg):
-    """Structural analysis of the configured system as a plain dict; one generator build."""
+    """Structural analysis of the configured system as a plain dict.
+
+    The Liouville pieces serve the support overlap and the spectrum; the
+    affine images, read from H and the rates, the closure and the steady state.
+    """
     sys_, spec = cfg.system, cfg.dissipation
     pieces = generator_pieces(sys_, spec)
     # a list, as affine_generator_set returns and for the same reason
-    gens = list(_affine_images(pieces))
+    gens = list(_affine_pieces(sys_, spec))
     overlap = support_overlap(pieces[1:-1], pieces[-1])
     ham = hamiltonian_algebra(sys_)
     closure = lie_closure(gens)
@@ -116,7 +120,8 @@ def analyze_report(cfg):
             "zero_modes": spectrum.zero_modes,
         },
     }
-    v, singular = _fixed_points(_combine(gens, np.zeros(sys_.n_controls))[None])
+    g = _combine(gens, np.zeros(sys_.n_controls))
+    v, singular = _fixed_points(g[None, :-1, :-1], g[None, :-1, -1])
     if singular is None:
         report["steady_state"] = {"bloch": v[0].tolist(), "norm": float(np.linalg.norm(v[0]))}
         report["equilibrium_note"] = "unique"

@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .algebra import affine_generator_set
+from .bloch import _affine_pieces
 from .errors import ConfigError
 from .liouville import _admit
 from .model import ControlField, ControlSystem, DissipationSpec, dipole_coupling
@@ -198,7 +198,7 @@ def parse_config(doc):
         )
     # finite numbers can still overflow the generator; found here, before
     # any stepping, and not as warnings and NaN states later
-    gens = affine_generator_set(system, spec)
+    gens = _affine_pieces(system, spec)
     _admit(gens, [values for _, values in field.segments], lambda k: "field.segments[%d]" % k)
 
     rho0 = _initial_state(doc["initial"], levels)

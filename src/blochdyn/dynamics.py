@@ -1,8 +1,9 @@
 """Semigroup evolution, spectra and attractors.
 
 Propagation, steady states and sweeps all read the affine images of the
-generator pieces (L0, L_m, L_D) from algebra.affine_generator_set, and
-weight them by (1, f_1..f_M, 1) into G(f) = [[A(f), b(f)], [0, 0]].
+generator pieces (L0, L_m, L_D) from bloch._affine_pieces, which reads them
+straight from H and the rates, and weight them by (1, f_1..f_M, 1) into
+G(f) = [[A(f), b(f)], [0, 0]].
 
 States are stepped as real coordinates u = (v, tr rho) under G(f) on one
 grid for both field kinds: a segment of duration d takes n = ceil(d / dt)
@@ -49,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import affine_generator_set
+from .bloch import _affine_pieces
 from .errors import InputError, NonUniqueEquilibriumError, SemigroupDomainError
 from .liouville import _admit, _combine
 from .states import (CoherenceVector, _check_coordinates, check_density,
@@ -195,7 +196,7 @@ def propagate(sys, spec, field, rho0, sample_dt=None, duration=None,
     if sys.dim != spec.dim or sys.dim != rho0.shape[0]:
         raise InputError("system, dissipation and state dimensions differ")
     durations, rows = _effective_segments(field, duration)
-    gens = np.array(affine_generator_set(sys, spec))
+    gens = _affine_pieces(sys, spec)
     with np.errstate(over="ignore"):  # a phase that overflows is refused as inf
         phase = durations * _admit(gens, rows, lambda k: "segment %d" % k)
     if (phase > MAX_PHASE).any():
@@ -284,19 +285,25 @@ def _check_rk4_steps(gens, rows, h):
     digits, that admits every segment.
     """
     norms = np.abs(gens).sum(axis=1).max(axis=1)
-    suspects = np.flatnonzero(h * (np.abs(rows) @ norms[1:-1] + norms[0] + norms[-1])
-                              > RK4_STEP_BOUND)
+    with np.errstate(over="ignore"):  # a bound that overflows marks a suspect
+        suspects = np.flatnonzero(h * (np.abs(rows) @ norms[1:-1] + norms[0] + norms[-1])
+                                  > RK4_STEP_BOUND)
     radii = np.array([np.abs(np.linalg.eigvals(_combine(gens, rows[k])[:-1, :-1])).max()
                       for k in suspects])
     refused = h[suspects] * radii > RK4_STEP_BOUND
     if refused.any():
         first = refused.argmax()
-        dt = RK4_STEP_BOUND / radii[refused].max()
-        unit = 10.0 ** (np.floor(np.log10(dt)) - 2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore", under="ignore"):
+            dt = RK4_STEP_BOUND / radii[refused].max()
+            unit = 10.0 ** (np.floor(np.log10(dt)) - 2)
+            dt = np.floor(dt / unit) * unit
+        # an infinite radius, or one past 1 / tiny, leaves no normal step to offer
+        hint = ("sample_dt %.3g or less admits every segment" % dt
+                if dt >= np.finfo(float).tiny else "no normal sample_dt admits every segment")
         raise InputError("segment %d: RK4 step %.3g times the spectral radius %.3g of A(f) passes "
-                         "the %g stability bound; sample_dt %.3g or less admits every segment"
+                         "the %g stability bound; %s"
                          % (suspects[first], h[suspects[first]], radii[first], RK4_STEP_BOUND,
-                            np.floor(dt / unit) * unit))
+                            hint))
 
 
 def _powers(p, us):
@@ -385,24 +392,24 @@ def steady_state(sys, spec, f):
     (pure rotations, vanishing rates) and is reported as an error naming
     the null-space dimension. Amplitudes _admit refuses raise InputError.
     """
-    gens = affine_generator_set(sys, spec)
+    gens = _affine_pieces(sys, spec)
     _admit(gens, [np.atleast_1d(f)], lambda k: "f")
-    v, singular = _fixed_points(_combine(gens, f)[None])
+    g = _combine(gens, f)
+    v, singular = _fixed_points(g[None, :-1, :-1], g[None, :-1, -1])
     if singular is not None:
         raise NonUniqueEquilibriumError(
             "non-unique equilibrium: A has null space dimension %d" % singular[1])
     return CoherenceVector(bloch=v[0], trace_part=1.0)
 
 
-def _fixed_points(gens, check=None):
-    """Solve A_k v_k = -b_k for a stack of [[A_k, b_k], [0, 0]], shape (K, n+1, n+1).
+def _fixed_points(a, b, check=None):
+    """Solve A_k v_k = -b_k for a stack of A_k, shape (K, n, n), and of b_k, shape (K, n).
 
     Singular values at or below SINGULAR_RATIO times the largest count as zero.
     Only the A_k flagged in the boolean mask check (all by default) are
     decomposed; the caller vouches that the rest pass. Returns (v, None), or
     (None, (k, null_dim)) for the first singular A_k.
     """
-    a = gens[:, :-1, :-1]
     idx = np.arange(len(a)) if check is None else np.flatnonzero(check)
     if idx.size:
         s = np.linalg.svd(a[idx], compute_uv=False)
@@ -411,7 +418,7 @@ def _fixed_points(gens, check=None):
         if singular.size:
             k = singular[0]
             return None, (int(idx[k]), int(null_dims[k]))
-    return np.linalg.solve(a, -gens[:, :-1, -1:])[..., 0], None
+    return np.linalg.solve(a, -b[..., None])[..., 0], None
 
 
 def _sweep_fixed_points(drift, control, amplitudes):
@@ -425,13 +432,16 @@ def _sweep_fixed_points(drift, control, amplitudes):
     where r = SWEEP_ROUNDING n (sigma_max + (|a| + |a_j|) norm(A_c, 2)) covers
     rounding. _fixed_points decomposes the points left unproven, so the
     verdict, the first singular point and its null dimension are those of the
-    per-point rule. A bound that overflows proves nothing.
+    per-point rule. A bound that overflows proves nothing. A(a) and b(a) are
+    formed apart, with the arithmetic of drift + a control entry by entry,
+    and no (K, n + 1, n + 1) stack.
     """
-    gens = drift + amplitudes[:, None, None] * control
+    a_stack = drift[:-1, :-1] + amplitudes[:, None, None] * control[:-1, :-1]
+    b_stack = drift[:-1, -1] + amplitudes[:, None] * control[:-1, -1]
     order = np.argsort(amplitudes, kind="stable")
     a = amplitudes[order]
     anchors = order[::SWEEP_ANCHOR_STRIDE]
-    s = np.linalg.svd(np.concatenate([control[None, :-1, :-1], gens[anchors, :-1, :-1]]),
+    s = np.linalg.svd(np.concatenate([control[None, :-1, :-1], a_stack[anchors]]),
                       compute_uv=False)
     c_norm, s_max, s_min = s[0, 0], s[1:, 0], s[1:, -1]
     left = np.arange(a.size) // SWEEP_ANCHOR_STRIDE
@@ -444,7 +454,7 @@ def _sweep_fixed_points(drift, control, amplitudes):
             proven |= s_min[j] - delta - slack > SINGULAR_RATIO * (s_max[j] + delta + slack)
     check = np.ones(a.size, dtype=bool)
     check[order] = ~proven
-    return _fixed_points(gens, check)
+    return _fixed_points(a_stack, b_stack, check)
 
 
 @dataclass(frozen=True)
@@ -517,7 +527,7 @@ def steady_state_sweep(sys, spec, control_index, amplitudes):
             and 0 <= control_index < sys.n_controls):
         raise InputError("sweep control index %s is not an integer in [0, %d)"
                          % (control_index, sys.n_controls))
-    gens = affine_generator_set(sys, spec)
+    gens = _affine_pieces(sys, spec)
     rows = np.zeros((amplitudes.size, sys.n_controls))
     rows[:, control_index] = amplitudes
     _admit(gens, rows, lambda k: "amplitude %g" % amplitudes[k])

@@ -4,9 +4,11 @@ Density matrices are row-stacked into vectors, vec(rho) = (rho_11, rho_12,
 ..., rho_1N, rho_21, ..., rho_NN), and generators become N^2 x N^2 matrices
 acting on vec(rho). The module assembles the commutator part (1/i hbar)[H, .],
 the dephasing/relaxation dissipator and the stack of pieces (L0, L_m, L_D)
-from which every other module reads the controlled generator, reads the raw
-two-level pieces back from that stack, and checks the structural
-disjointness of control and dissipator supports.
+of the controlled generator, which the structural analysis and the
+Liouville spectrum read (propagation reads the affine pieces, built without
+it, from bloch._affine_pieces), reads the raw two-level pieces back from
+that stack, and checks the structural disjointness of control and
+dissipator supports.
 """
 
 import numpy as np

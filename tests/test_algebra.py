@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from blochdyn import algebra, bloch
+from blochdyn import algebra, bloch, liouville
 from blochdyn.algebra import (
     LieBasis,
     affine_generator_set,
@@ -16,8 +16,9 @@ from blochdyn.algebra import (
     lie_closure,
 )
 from blochdyn.bloch import to_affine
-from blochdyn.liouville import generator_pieces
+from blochdyn.liouville import _combine, generator_pieces, total_generator, vectorize
 from blochdyn.model import ControlSystem, DissipationSpec, qubit_system
+from blochdyn.states import to_coherence_vector
 from test_propagation_properties import admissible_system, embed
 
 
@@ -185,25 +186,81 @@ def test_quasi_spin_ladder_closure_has_no_translations():
     assert decompose_inhomogeneous(basis) == (64, 0)
 
 
+def random_hermitian_system(rng, dim):
+    """H0 and two controls with complex off-diagonals, random rates and hbar != 1."""
+    def hermitian():
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return a + a.conj().T
+
+    relax = rng.uniform(0.0, 0.5, (dim, dim))
+    np.fill_diagonal(relax, 0.0)
+    deph = np.triu(rng.uniform(0.0, 0.5, (dim, dim)), 1)
+    return (ControlSystem(h0=hermitian(), controls=(hermitian(), hermitian()),
+                          hbar=float(rng.uniform(0.5, 2.0))),
+            DissipationSpec(dephasing=deph + deph.T, relaxation=relax))
+
+
 @pytest.mark.parametrize("dim", range(2, 9))
-def test_affine_generator_set_equals_the_per_piece_path_bit_for_bit(dim):
-    # to_affine and [[A, b], [0, 0]], one piece at a time, stay the reference
+def test_affine_pieces_match_the_per_piece_path_to_rounding(dim):
+    # to_affine of each Liouville piece stays the reference; the pieces read
+    # from H and the rates round differently, within a few eps of each piece
     rng = np.random.default_rng(dim)
     for _ in range(3):
-        sys, spec = admissible_system(rng, dim)
+        sys, spec = random_hermitian_system(rng, dim)
         rows = affine_generator_set(sys, spec)
         expected = [embed(to_affine(p)) for p in generator_pieces(sys, spec)]
-        assert isinstance(rows, list) and len(rows) == len(expected) == dim + 1
-        assert [r.tobytes() for r in rows] == [e.tobytes() for e in expected]
+        assert isinstance(rows, list) and len(rows) == len(expected) == 4
+        for row, ref in zip(rows, expected):
+            eps = np.finfo(float).eps
+            assert np.max(np.abs(row - ref)) <= 8 * eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.5, 2.0])
+def test_affine_pieces_of_dyadic_qubits_equal_the_per_piece_path_bit_for_bit(hbar):
+    # dyadic energies, moments and rates leave no rounding to either route;
+    # the sign of a zero is the one bit they may differ in
+    qubit = qubit_system(0.25, 1.5, d1=0.75, d2=0.5)
+    for sys in (qubit, ControlSystem(h0=qubit.h0, controls=qubit.controls + (
+            np.array([[0.5, 0.25 - 0.125j], [0.25 + 0.125j, -1.0]]),), hbar=hbar)):
+        spec = DissipationSpec(dephasing=[[0.0, 0.375], [0.375, 0.0]],
+                               relaxation=[[0.0, 0.25], [0.125, 0.0]])
+        rows = affine_generator_set(sys, spec)
+        expected = [embed(to_affine(p)) for p in generator_pieces(sys, spec)]
+        assert [(r + 0.0).tobytes() for r in rows] == [(e + 0.0).tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_hamiltonian_pieces_are_antisymmetric_rotations(dim):
+    sys, spec = random_hermitian_system(np.random.default_rng(20 + dim), dim)
+    for row in affine_generator_set(sys, spec)[:-1]:
+        assert np.array_equal(row[:-1, :-1], -row[:-1, :-1].T)
+        assert not row[:, -1].any() and not row[-1].any()
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_affine_generator_moves_coordinates_as_the_liouvillian_moves_rho(dim):
+    # G(f) u(rho) is the coordinate vector of L(f) vec(rho), trace row 0
+    rng = np.random.default_rng(40 + dim)
+    sys, spec = random_hermitian_system(rng, dim)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    f = rng.uniform(-1.0, 1.0, sys.n_controls)
+    v = to_coherence_vector(rho)
+    moved = _combine(np.array(affine_generator_set(sys, spec)), f) @ np.append(v.bloch, 1.0)
+    expected = to_coherence_vector((total_generator(sys, spec, f) @ vectorize(rho))
+                                   .reshape(dim, dim))
+    assert np.max(np.abs(moved[:-1] - expected.bloch)) <= 1e-14 * np.max(np.abs(expected.bloch))
+    assert moved[-1] == 0.0
 
 
 def test_affine_generator_set_makes_no_per_piece_call(monkeypatch):
     calls = []
-    for module in (bloch, algebra):
-        if hasattr(module, "to_affine"):
-            wrapped = module.to_affine
-            monkeypatch.setattr(module, "to_affine", lambda *args, _f=wrapped:
-                                calls.append(args) or _f(*args))
+    for module in (bloch, algebra, liouville):
+        for name in ("to_affine", "generator_pieces", "build_dissipator", "_commutator"):
+            if hasattr(module, name):
+                wrapped = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, _f=wrapped:
+                                    calls.append(args) or _f(*args))
     assert len(affine_generator_set(*make_ladder())) == 4
     assert calls == []
 

@@ -16,7 +16,8 @@ from blochdyn.liouville import (
     total_generator,
     vectorize,
 )
-from blochdyn.model import ControlField, DissipationSpec, qubit_system
+from blochdyn.model import (ControlField, ControlSystem, DissipationSpec, dipole_coupling,
+                            qubit_system)
 from blochdyn.states import from_pure, gell_mann_basis, to_coherence_vector
 from blochdyn.tolerances import PROPAGATION_TOL
 
@@ -185,3 +186,19 @@ def test_ball_containment_three_levels_uses_positivity():
     )
     assert ball_containment(bad) is False
     assert -np.linalg.eigvalsh(rho_bad)[0] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_passing_containment_at_three_levels_takes_no_eigenvalues(monkeypatch):
+    # the samples are proven from their coordinates, as propagate proves them
+    sys = ControlSystem(h0=np.diag([0.0, 1.0, 2.2]), controls=(dipole_coupling(3, 0, 1, 1.0),))
+    deph = np.array([[0.0, 0.15, 0.2], [0.15, 0.0, 0.3], [0.2, 0.3, 0.0]])
+    relax = np.array([[0.0, 0.2, 0.0], [0.0, 0.0, 0.3], [0.0, 0.0, 0.0]])
+    rho0 = 0.5 * from_pure([1.0, 1.0, 0.0]) + 0.5 * np.eye(3) / 3
+    traj = propagate(sys, DissipationSpec(dephasing=deph, relaxation=relax),
+                     ControlField.constant([0.5], 2.0), rho0, sample_dt=1e-3)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: calls.append(np.shape(a)) or eigvalsh(a, *args))
+    assert ball_containment(traj) is True
+    assert calls == []

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from blochdyn import algebra, cli, config, dynamics, liouville
+from blochdyn import algebra, bloch, cli, config, dynamics, liouville
 from blochdyn.cli import _write_table, main
 from blochdyn.config import (
     _schema_errors,
@@ -965,15 +965,15 @@ def test_each_command_builds_the_generator_twice(tmp_path, capsys, monkeypatch, 
     # once in parse_config, whose overflow check fails every command before
     # any work, and once for the command itself
     builds = []
-    build = liouville.generator_pieces
+    build = bloch._affine_pieces
 
     def counted(sys_, spec):
         builds.append(sys_)
         return build(sys_, spec)
 
-    for module in (liouville, algebra, dynamics, cli):
-        if hasattr(module, "generator_pieces"):
-            monkeypatch.setattr(module, "generator_pieces", counted)
+    for module in (bloch, config, algebra, dynamics, cli):
+        if hasattr(module, "_affine_pieces"):
+            monkeypatch.setattr(module, "_affine_pieces", counted)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(template_text(template))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 0

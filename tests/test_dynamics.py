@@ -15,7 +15,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blochdyn import algebra, dynamics, liouville
+from blochdyn import algebra, bloch, dynamics, liouville
 from blochdyn.algebra import affine_generator_set
 from blochdyn.bloch import ball_containment, to_affine
 from blochdyn.dynamics import (
@@ -350,17 +350,17 @@ def test_default_sample_dt_scales_with_generator_norm():
 
 def test_propagate_builds_the_generator_once_without_sample_dt(monkeypatch):
     # the default grid reads norm(L) from the affine stack propagate already
-    # holds, with no second build of the complex pieces
+    # holds, with no second build of the pieces
     builds = []
-    build = liouville.generator_pieces
+    build = bloch._affine_pieces
 
     def counted(sys_, spec_):
         builds.append(sys_)
         return build(sys_, spec_)
 
-    for module in (liouville, algebra, dynamics):
-        if hasattr(module, "generator_pieces"):
-            monkeypatch.setattr(module, "generator_pieces", counted)
+    for module in (bloch, algebra, dynamics):
+        if hasattr(module, "_affine_pieces"):
+            monkeypatch.setattr(module, "_affine_pieces", counted)
     sys, spec = make_qubit()
     propagate(sys, spec, ControlField.constant([0.3, 0.1], duration=2.0), from_pure([1, 0]))
     assert len(builds) == 1
@@ -1144,3 +1144,19 @@ def test_non_finite_amplitudes_rejected_before_solving(bad):
         steady_state_sweep(cfg.system, cfg.dissipation, 0, [0.0, 1.0, 2.0, bad, 3.0, 4.0])
     with pytest.raises(ValueError, match="must be finite"):
         steady_state(cfg.system, cfg.dissipation, (bad, 0.0))
+
+
+def test_rk4_refusal_of_an_overflowing_bound_offers_no_nan_step():
+    # the RK4 bound of rates 1e307 and f = 7.64e307 overflowed in matmul, and
+    # the refusal then offered "sample_dt nan or less"
+    c = np.zeros((3, 3), dtype=complex)
+    c[0, 1] = c[1, 0] = c[1, 2] = c[2, 1] = 1.0
+    sys = ControlSystem(h0=np.diag([0.0, 1.0, 2.0]), controls=(c,))
+    deph = np.full((3, 3), 1e307)
+    np.fill_diagonal(deph, 0.0)
+    spec = DissipationSpec(dephasing=deph, relaxation=np.zeros((3, 3)))
+    field = ControlField(segments=((1e-300, (7.64e307,)),), kind="sampled")
+    with pytest.raises(InputError, match="RK4 step") as err:
+        propagate(sys, spec, field, from_pure([1, 0, 0]), sample_dt=1e-300)
+    assert str(err.value).endswith("spectral radius inf of A(f) passes the 1.5 stability "
+                                   "bound; no normal sample_dt admits every segment")
